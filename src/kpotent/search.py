@@ -1,11 +1,22 @@
 """Exhaustive and sampled censuses of potency classes over Z/p coefficients,
-plus the norm-zero witness scan that separates split from division algebras.
+plus the norm-zero witness search that separates split from division algebras.
 
 Census classification never multiplies full elements: in a quadratic
 algebra x^2 = t(x) x - n(x), so the powers of a non-scalar x live in the
 plane spanned by 1 and x, and x^m = u + v x follows the two-term recursion
-(u, v) -> (-n v, u + t v).  The element-level classifier in
-:mod:`kpotent.potency` is the independent slow route used to validate this.
+(u, v) -> (-n v, u + t v).  Since t(x) = 2 x0, the class of x depends only
+on its scalar part x0, its norm n(x) = w0 x0^2 + q(tail) and whether its
+tail is zero.  The element-level classifier in :mod:`kpotent.potency` is
+the independent slow route used to validate this.
+
+The exhaustive census therefore never visits the p^dim elements.  Suffix
+tables count, for each m, the coordinate tuples x_j..x_{dim-1} with
+sum w_i x_i^2 = m (a convolution of per-coordinate square counts); each
+pair (x0, m) is classified once and weighted by its number of tails; a
+greedy walk down the same tables gives the lexicographically first tail of
+each m, hence each class's smallest member.  The norm-zero witness is the
+same walk over all dim coordinates.  Both cost O(dim p^2) table work, plus
+O(p^2 max_k) recursion steps for the census.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import product
+from functools import cache, partial
 
 from .fields import PrimeField
 from .potency import DEFAULT_MAX_K
@@ -51,37 +62,74 @@ def _require_prime_field(algebra) -> PrimeField:
     return algebra.field
 
 
-def _raw_classifier(algebra, max_k: int):
-    """Classify raw residue tuples via the quadratic-plane power recursion."""
-    p = algebra.field.p
-    norm_coeffs = algebra._norm_raw
-
-    def classify_raw(coords):
-        scalar = coords[0]
-        if all(c == 0 for c in coords[1:]):
-            if scalar == 0:
-                return ("k-potent", 2)
-            pw = scalar
-            for k in range(2, max_k + 1):
-                pw = pw * scalar % p
-                if pw == scalar:
-                    return ("k-potent", k)
-            return ("none", max_k)
-        t = 2 * scalar % p
-        n = 0
-        for w, c in zip(norm_coeffs, coords):
-            n = (n + w * c * c) % p
-        u, v = 0, 1   # x^1 = 0 + 1*x
+def _classify_plane(p: int, max_k: int, x0: int, n: int, scalar_tail: bool):
+    """(kind, index) of an element with scalar part x0, norm n and, if
+    scalar_tail, all other coordinates zero."""
+    if scalar_tail:
+        if x0 == 0:
+            return ("k-potent", 2)
+        pw = x0
         for k in range(2, max_k + 1):
-            u, v = -n * v % p, (u + t * v) % p
-            if u == 0:
-                if v == 1:
-                    return ("k-potent", k)
-                if v == 0:
-                    return ("nilpotent", k)
+            pw = pw * x0 % p
+            if pw == x0:
+                return ("k-potent", k)
         return ("none", max_k)
+    t = 2 * x0 % p
+    u, v = 0, 1   # x^1 = 0 + 1*x
+    for k in range(2, max_k + 1):
+        u, v = -n * v % p, (u + t * v) % p
+        if u == 0:
+            if v == 1:
+                return ("k-potent", k)
+            if v == 0:
+                return ("nilpotent", k)
+    return ("none", max_k)
 
-    return classify_raw
+
+def _suffix_counts(p: int, weights) -> list:
+    """suffix[j][m] = #{(x_j, ..., x_last) : sum w_i x_i^2 = m (mod p)}.
+
+    suffix[len(weights)] counts the empty tuple, whose sum is 0.
+    """
+    table = [1] + [0] * (p - 1)
+    suffix = [table]
+    for w in reversed(weights):
+        squares = [0] * p
+        for c in range(p):
+            squares[w * c * c % p] += 1
+        acc = [0] * p
+        for s, mult in enumerate(squares):
+            if mult:
+                # shifted[m] = table[(m - s) % p]
+                shifted = table[p - s:] + table[:p - s]
+                acc = [a + mult * b for a, b in zip(acc, shifted)]
+        table = acc
+        suffix.append(table)
+    suffix.reverse()
+    return suffix
+
+
+def _lex_first(p: int, weights, suffix, start: int, target: int, nonzero: bool):
+    """The lexicographically first (x_start, ..., x_last) with
+    sum w_i x_i^2 = target (mod p), nonzero if asked, or None.
+
+    Greedy: each coordinate takes the smallest value whose remainder the
+    suffix table says is still reachable (by a nonzero tuple, while the
+    prefix is zero and a nonzero result is required).
+    """
+    if suffix[start][target] - (nonzero and target == 0) <= 0:
+        return None
+    coords = []
+    for j in range(start, len(weights)):
+        rest = suffix[j + 1]
+        for c in range(p):
+            r = (target - weights[j] * c * c) % p
+            if rest[r] - (nonzero and c == 0 and r == 0) > 0:
+                break
+        coords.append(c)
+        target = r
+        nonzero = nonzero and c == 0
+    return tuple(coords)
 
 
 def _merge(census: dict, key, count: int, sample) -> None:
@@ -102,31 +150,41 @@ def _rows(census: dict) -> list:
 
 
 def search_exhaustive(algebra, max_k: int = DEFAULT_MAX_K) -> list:
-    """Classify every coordinate tuple; rows sorted by (kind, index).
+    """Classify every element of the algebra; rows sorted by (kind, index).
 
-    The traversal is partitioned by leading coordinate and merged
-    commutatively, so the result is independent of traversal order; each
-    row's sample is the lexicographically smallest member of its class.
+    Works from the distribution of norm values rather than the elements:
+    each pair (x0, m) of scalar part and tail norm is classified once and
+    counted with its number of tails, and the scalar tail (all zeros) is
+    its own case.  Each row's sample is the lexicographically smallest
+    member of its class.  Refused with SearchBudgetError when p^2 * max_k
+    exceeds EXHAUSTIVE_BUDGET.
     """
     field = _require_prime_field(algebra)
-    p, dim = field.p, algebra.dim
-    if p ** dim > EXHAUSTIVE_BUDGET:
+    p = field.p
+    if p * p * max_k > EXHAUSTIVE_BUDGET:
         raise SearchBudgetError(
-            f"p^{dim} = {p ** dim} exceeds the exhaustive budget "
+            f"p^2 * max_k = {p * p * max_k} exceeds the exhaustive budget "
             f"{EXHAUSTIVE_BUDGET}; use search_sample"
         )
+    weights = algebra._norm_raw
+    suffix = _suffix_counts(p, weights)
+    tail_counts = suffix[1]
+    zero_tail = (0,) * (len(weights) - 1)
+    # (norm, count, lex-first member) of the nonzero tails, per tail norm
+    tails = []
+    for m in range(p):
+        first = _lex_first(p, weights, suffix, 1, m, True)
+        if first is not None:
+            tails.append((m, tail_counts[m] - (m == 0), first))
     census: dict = {}
-    for head in range(p):
-        _merge_prefix_census(census, algebra, head, max_k)
+    for x0 in range(p):
+        x0_norm = weights[0] * x0 * x0
+        key = _classify_plane(p, max_k, x0, x0_norm % p, True)
+        _merge(census, key, 1, (x0,) + zero_tail)
+        for m, count, first in tails:
+            key = _classify_plane(p, max_k, x0, (x0_norm + m) % p, False)
+            _merge(census, key, count, (x0,) + first)
     return _rows(census)
-
-
-def _merge_prefix_census(census: dict, algebra, head: int, max_k: int) -> None:
-    classify_raw = _raw_classifier(algebra, max_k)
-    p, dim = algebra.field.p, algebra.dim
-    for tail in product(range(p), repeat=dim - 1):
-        coords = (head,) + tail
-        _merge(census, classify_raw(coords), 1, coords)
 
 
 def search_sample(algebra, budget: int, seed: int, max_k: int = DEFAULT_MAX_K) -> list:
@@ -140,12 +198,21 @@ def search_sample(algebra, budget: int, seed: int, max_k: int = DEFAULT_MAX_K) -
     if budget < 1:
         raise ValueError("budget must be at least 1")
     p, dim = field.p, algebra.dim
-    classify_raw = _raw_classifier(algebra, max_k)
+    weights = algebra._norm_raw
+    classify = partial(_classify_plane, p, max_k)
+    if p * p <= budget:
+        # no more (x0, n) pairs than draws: classify each pair once.  With
+        # far more pairs than draws (large p) they rarely repeat, and a memo
+        # would only hold one-off entries.
+        classify = cache(classify)
     gen = SplitMix64(seed)
     census: dict = {}
     for _ in range(budget):
         coords = tuple(gen.below(p) for _ in range(dim))
-        _merge(census, classify_raw(coords), 1, coords)
+        n = 0
+        for w, c in zip(weights, coords):
+            n = (n + w * c * c) % p
+        _merge(census, classify(coords[0], n, not any(coords[1:])), 1, coords)
     return _rows(census)
 
 
@@ -153,24 +220,21 @@ def split_witness(algebra):
     """The lexicographically first nonzero element of norm zero, or None.
 
     A witness certifies the algebra is split; None certifies it is a
-    division algebra.  The scan evaluates the norm form over the whole
-    coordinate space, so the same budget as exhaustive search applies.
+    division algebra.  The witness is read off the suffix tables of the
+    norm form by the same greedy walk that picks census samples; by
+    Chevalley-Warning one always exists over F_p for dim >= 3.  Refused
+    with SearchBudgetError when dim * p^2 exceeds EXHAUSTIVE_BUDGET.
     """
     field = _require_prime_field(algebra)
     p, dim = field.p, algebra.dim
-    if p ** dim > EXHAUSTIVE_BUDGET:
+    if dim * p * p > EXHAUSTIVE_BUDGET:
         raise SearchBudgetError(
-            f"p^{dim} = {p ** dim} exceeds the witness-scan budget {EXHAUSTIVE_BUDGET}"
+            f"{dim} * p^2 = {dim * p * p} exceeds the witness budget "
+            f"{EXHAUSTIVE_BUDGET}"
         )
-    norm_coeffs = algebra._norm_raw
-    squares = [[w * c * c % p for c in range(p)] for w in norm_coeffs]
-    for coords in product(range(p), repeat=dim):
-        total = 0
-        for sq, c in zip(squares, coords):
-            total += sq[c]
-        if total % p == 0 and any(coords):
-            return algebra.element(coords)
-    return None
+    weights = algebra._norm_raw
+    coords = _lex_first(p, weights, _suffix_counts(p, weights), 0, 0, True)
+    return None if coords is None else algebra.element(coords)
 
 
 def census_to_csv(rows) -> str:

@@ -1,7 +1,9 @@
 """Shared test utilities, including the naive classification oracle.
 
 The oracle classifies by literal repeated element multiplication and is the
-slow, independent route that census results are checked against.
+slow, independent route that census results are checked against.  The
+brute-force census and witness scans below walk every coordinate tuple and
+are the oracles for the norm-distribution routes in kpotent.search.
 """
 
 import random
@@ -13,8 +15,10 @@ from kpotent import (
     QuadraticField,
     QuatAlgebra,
     RationalField,
+    SplitMix64,
     SquareMatrix,
 )
+from kpotent.search import _merge, _rows
 
 
 def naive_potency(x, max_k=64):
@@ -41,6 +45,78 @@ def naive_census(algebra, max_k=64):
         (kind, index, count, sample)
         for (kind, index), (count, sample) in sorted(census.items())
     ]
+
+
+def raw_classifier(algebra, max_k=64):
+    """Classify raw residue tuples via the quadratic-plane power recursion."""
+    p = algebra.field.p
+    norm_coeffs = algebra._norm_raw
+
+    def classify_raw(coords):
+        scalar = coords[0]
+        if all(c == 0 for c in coords[1:]):
+            if scalar == 0:
+                return ("k-potent", 2)
+            pw = scalar
+            for k in range(2, max_k + 1):
+                pw = pw * scalar % p
+                if pw == scalar:
+                    return ("k-potent", k)
+            return ("none", max_k)
+        t = 2 * scalar % p
+        n = 0
+        for w, c in zip(norm_coeffs, coords):
+            n = (n + w * c * c) % p
+        u, v = 0, 1   # x^1 = 0 + 1*x
+        for k in range(2, max_k + 1):
+            u, v = -n * v % p, (u + t * v) % p
+            if u == 0:
+                if v == 1:
+                    return ("k-potent", k)
+                if v == 0:
+                    return ("nilpotent", k)
+        return ("none", max_k)
+
+    return classify_raw
+
+
+def prefix_census(census, algebra, head, max_k=64):
+    """Merge the census of every tuple with leading coordinate `head`."""
+    classify_raw = raw_classifier(algebra, max_k)
+    p, dim = algebra.field.p, algebra.dim
+    for tail in product(range(p), repeat=dim - 1):
+        coords = (head,) + tail
+        _merge(census, classify_raw(coords), 1, coords)
+
+
+def brute_census(algebra, max_k=64, heads=None):
+    """CensusRows from visiting every coordinate tuple, heads in the given order."""
+    census = {}
+    for head in range(algebra.field.p) if heads is None else heads:
+        prefix_census(census, algebra, head, max_k)
+    return _rows(census)
+
+
+def replayed_sample_census(algebra, budget, seed, max_k=64):
+    """CensusRows from replaying the SplitMix64 draws of search_sample."""
+    classify_raw = raw_classifier(algebra, max_k)
+    p, dim = algebra.field.p, algebra.dim
+    gen = SplitMix64(seed)
+    census = {}
+    for _ in range(budget):
+        coords = tuple(gen.below(p) for _ in range(dim))
+        _merge(census, classify_raw(coords), 1, coords)
+    return _rows(census)
+
+
+def brute_witness(algebra):
+    """Coordinates of the first nonzero norm-zero tuple in lexicographic order."""
+    p = algebra.field.p
+    for coords in product(range(p), repeat=algebra.dim):
+        n = sum(w * c * c for w, c in zip(algebra._norm_raw, coords))
+        if n % p == 0 and any(coords):
+            return coords
+    return None
 
 
 def field_by_token(token):

@@ -249,7 +249,7 @@ def test_search_sample_requires_budget(capsys):
 
 def test_search_budget_error_directs_to_sampling(capsys):
     code, _, err = run(
-        capsys, "search", "--field", "f11", "--algebra", "oct",
+        capsys, "search", "--field", "f1259", "--algebra", "oct",
         "--params", "-1,-1,-1",
     )
     assert code == 1

@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kpotent import (
     OctAlgebra,
@@ -18,9 +20,9 @@ from kpotent import (
     search_sample,
     split_witness,
 )
-from kpotent.search import _merge_prefix_census, _rows
+from kpotent.search import _suffix_counts
 
-from helpers import naive_census
+from helpers import brute_census, brute_witness, naive_census, replayed_sample_census
 
 # Frozen exhaustive censuses, computed with the naive repeated-multiplication
 # oracle before the search module existed and cross-checked against the
@@ -126,14 +128,78 @@ def test_samples_reclassify_to_their_rows(h5, o3):
 def test_census_is_traversal_order_independent(h3):
     default = search_exhaustive(h3)
     for order in ([2, 0, 1], [1, 2, 0]):
-        census = {}
-        for head in order:
-            _merge_prefix_census(census, h3, head, 64)
-        assert _rows(census) == default
+        assert brute_census(h3, heads=order) == default
+
+
+@pytest.mark.parametrize(
+    "kind,p,params",
+    [
+        ("quat", 5, (-1, -1)),
+        ("quat", 7, (2, 3)),
+        ("oct", 3, (-1, -1, -1)),
+        ("oct", 5, (2, 3, 1)),
+        ("quat", 31, (-1, -1)),
+    ],
+    ids=["h-f5", "h23-f7", "o-f3", "o231-f5", "h-f31"],
+)
+def test_census_matches_brute_force(kind, p, params):
+    cls = QuatAlgebra if kind == "quat" else OctAlgebra
+    alg = cls(PrimeField(p), *params)
+    assert search_exhaustive(alg) == brute_census(alg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 11, 13]),
+    a=st.integers(1, 12),
+    b=st.integers(1, 12),
+    max_k=st.sampled_from([8, 64]),
+)
+def test_quaternion_census_sweep_matches_brute_force(p, a, b, max_k):
+    alg = QuatAlgebra(PrimeField(p), a % p or 1, b % p or 1)
+    assert search_exhaustive(alg, max_k) == brute_census(alg, max_k)
+
+
+def _eta(a, p):
+    """Quadratic character of a mod p (0 on 0)."""
+    a %= p
+    return 0 if a == 0 else (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
+
+
+def _closed_form_count(weights, b, p):
+    """Solutions of sum w_i x_i^2 = b over F_p (Lidl-Niederreiter 6.26/6.27)."""
+    n = len(weights)
+    det = 1
+    for w in weights:
+        det = det * w % p
+    if n % 2:
+        return p ** (n - 1) + p ** ((n - 1) // 2) * _eta((-1) ** ((n - 1) // 2) * b * det, p)
+    v = p - 1 if b % p == 0 else -1
+    return p ** (n - 1) + v * p ** ((n - 2) // 2) * _eta((-1) ** (n // 2) * det, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+def test_suffix_counts_match_closed_forms(p):
+    for cls, params in ((QuatAlgebra, (-1, 2)), (OctAlgebra, (2, -1, -2))):
+        weights = cls(PrimeField(p), *params)._norm_raw
+        suffix = _suffix_counts(p, weights)
+        # the tail (3 or 7 variables, Thm 6.27) and the whole norm form
+        # (4 or 8 variables, Thm 6.26)
+        for start in (1, 0):
+            expected = [_closed_form_count(weights[start:], m, p) for m in range(p)]
+            assert suffix[start] == expected
+
+
+def test_octonion_f97_census_is_fast():
+    alg = OctAlgebra(PrimeField(97), -1, -1, -1)
+    start = time.perf_counter()
+    rows = search_exhaustive(alg)
+    assert time.perf_counter() - start < 1.0
+    assert sum(r.count for r in rows) == 97 ** 8
 
 
 def test_exhaustive_budget(h5):
-    big = OctAlgebra(PrimeField(11), -1, -1, -1)
+    big = OctAlgebra(PrimeField(1259), -1, -1, -1)
     with pytest.raises(SearchBudgetError, match="search_sample"):
         search_exhaustive(big)
 
@@ -181,6 +247,20 @@ def test_sampler_finds_kpotents_over_f13():
     assert ("k-potent", 13) in {(r.kind, r.index) for r in rows}
 
 
+@pytest.mark.parametrize(
+    "alg,budget",
+    [
+        (OctAlgebra(PrimeField(7), -1, -1, -1), 3000),   # pairs repeat: memoised
+        (QuatAlgebra(PrimeField(1000003), 2, 5), 300),   # pairs do not repeat
+        (QuatAlgebra(PrimeField(3), -1, -1), 5),
+    ],
+    ids=["o-f7", "h25-f1000003", "h-f3"],
+)
+def test_sampler_matches_replayed_stream(alg, budget):
+    for seed in (1, 2):
+        assert search_sample(alg, budget, seed) == replayed_sample_census(alg, budget, seed)
+
+
 def test_sampler_sample_is_lexicographic_minimum(h3):
     rows = search_sample(h3, 3000, seed=5)
     gen = SplitMix64(5)
@@ -209,6 +289,31 @@ def test_split_witness_octonion_f3(o3):
     w = split_witness(o3)
     assert w == o3.element((0, 0, 0, 0, 0, 1, 1, 1))
     assert w.norm().is_zero
+
+
+def test_split_witness_matches_brute_force():
+    algebras = [
+        QuatAlgebra(PrimeField(p), a, b)
+        for p in (3, 5, 7, 11, 13)
+        for a in range(1, p)
+        for b in range(1, p)
+    ]
+    algebras += [OctAlgebra(PrimeField(3), -1, -1, -1),
+                 OctAlgebra(PrimeField(5), 2, 3, 1)]
+    for alg in algebras:
+        assert split_witness(alg) == alg.element(brute_witness(alg))
+
+
+def test_split_witness_beyond_old_scan_budget():
+    for alg in (QuatAlgebra(PrimeField(101), -1, -1),
+                OctAlgebra(PrimeField(11), -1, -1, -1)):
+        w = split_witness(alg)
+        assert w.norm().is_zero and not w.is_zero
+
+
+def test_split_witness_budget():
+    with pytest.raises(SearchBudgetError):
+        split_witness(OctAlgebra(PrimeField(3547), -1, -1, -1))
 
 
 def test_split_witness_every_odd_prime_quaternion():
