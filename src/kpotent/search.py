@@ -25,7 +25,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import cache, partial
 
 from .fields import PrimeField
 from .potency import DEFAULT_MAX_K
@@ -199,20 +198,23 @@ def search_sample(algebra, budget: int, seed: int, max_k: int = DEFAULT_MAX_K) -
         raise ValueError("budget must be at least 1")
     p, dim = field.p, algebra.dim
     weights = algebra._norm_raw
-    classify = partial(_classify_plane, p, max_k)
-    if p * p <= budget:
-        # no more (x0, n) pairs than draws: classify each pair once.  With
-        # far more pairs than draws (large p) they rarely repeat, and a memo
-        # would only hold one-off entries.
-        classify = cache(classify)
     gen = SplitMix64(seed)
+    plane: dict = {}   # (x0 * p + n) * 2 + scalar_tail -> (kind, index)
+    classes: dict = {}  # one (kind, index) tuple per class, shared by plane
     census: dict = {}
     for _ in range(budget):
         coords = tuple(gen.below(p) for _ in range(dim))
+        x0 = coords[0]
         n = 0
         for w, c in zip(weights, coords):
             n = (n + w * c * c) % p
-        _merge(census, classify(coords[0], n, not any(coords[1:])), 1, coords)
+        scalar_tail = not any(coords[1:])
+        pair = (x0 * p + n) * 2 + scalar_tail
+        key = plane.get(pair)
+        if key is None:
+            key = _classify_plane(p, max_k, x0, n, scalar_tail)
+            key = plane[pair] = classes.setdefault(key, key)
+        _merge(census, key, 1, coords)
     return _rows(census)
 
 

@@ -250,8 +250,8 @@ def test_sampler_finds_kpotents_over_f13():
 @pytest.mark.parametrize(
     "alg,budget",
     [
-        (OctAlgebra(PrimeField(7), -1, -1, -1), 3000),   # pairs repeat: memoised
-        (QuatAlgebra(PrimeField(1000003), 2, 5), 300),   # pairs do not repeat
+        (OctAlgebra(PrimeField(7), -1, -1, -1), 3000),   # pairs repeat: memo hits
+        (QuatAlgebra(PrimeField(1000003), 2, 5), 300),   # pairs rarely repeat
         (QuatAlgebra(PrimeField(3), -1, -1), 5),
     ],
     ids=["o-f7", "h25-f1000003", "h-f3"],
