@@ -2,8 +2,8 @@
 
 left_rep(x) acts on coordinate columns as y -> x*y, right_rep(x) as
 y -> y*x.  The left map is multiplicative; the right map composes in
-reverse.  Block assembly from the quaternion halves is compared against
-the explicit 8x8 matrices.
+reverse.  Block assembly from the 4x4 maps of the quaternion halves is
+compared against the 8x8 maps, both read off the structure constants.
 """
 
 import random

@@ -3,11 +3,15 @@
 Elements carry their algebra and a coordinate tuple over one of the exact
 coefficient fields.  Multiplication is the bilinear extension of the basis
 table stored as structure constants, so the same kernel drives both
-dimensions.  A Cayley-Dickson doubling product is provided as an
-independent cross-check of the transcribed octonion table.
+dimensions; each product coordinate is one unreduced dot product through
+the field's lazy-reduction kernel, reduced once.  A Cayley-Dickson doubling
+product is provided as an independent cross-check of the transcribed
+octonion table.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .fields import Field, FieldElement, ParseError
 
@@ -66,8 +70,31 @@ class _TableAlgebra:
 
     def _finish_init(self, table):
         field = self.field
+        dim = self.dim
+        one = field.one.raw
+        minus_one = field._neg(one)
+        # (k, c_ij, unit) with f_i f_j = c_ij f_k; unit is 1 or -1 when c_ij
+        # is, else 0, so products by the sign need no multiplication
         self._table_raw = tuple(
-            tuple((k, coeff.raw) for (k, coeff) in row) for row in table
+            tuple(
+                (k, c.raw, 1 if c.raw == one else -1 if c.raw == minus_one else 0)
+                for (k, c) in row
+            )
+            for row in table
+        )
+        # coordinate k of x*y is the sum over j of x_i c_ij y_j, where i is
+        # the one row with f_i f_j = c_ij f_k; the c_ij are lifted once,
+        # over one shared denominator, and grouped by k
+        rows_of = [[None] * dim for _ in range(dim)]
+        for i, row in enumerate(self._table_raw):
+            for j, (k, _, _) in enumerate(row):
+                rows_of[k][j] = i
+        coeffs, self._coeff_den = field._lift(
+            [coeff for row in self._table_raw for _, coeff, _ in row]
+        )
+        self._mul_rows = tuple(
+            (itemgetter(*rows), tuple(coeffs[i * dim + j] for j, i in enumerate(rows)))
+            for rows in rows_of
         )
         # coefficient vector of the norm form n(x) = sum w_i x_i^2
         self._norm_coeffs = self._norm_coefficients()
@@ -168,6 +195,7 @@ class OctAlgebra(_TableAlgebra):
         if self.a.is_zero or self.b.is_zero or self.c.is_zero:
             raise ValueError("algebra parameters must be nonzero")
         self._finish_init(_oct_table(self.a, self.b, self.c))
+        self._quaternions = None
 
     @property
     def params(self):
@@ -179,7 +207,10 @@ class OctAlgebra(_TableAlgebra):
         return (self.field.one, -a, -b, ab, -c, a * c, b * c, -(ab * c))
 
     def quaternion_subalgebra(self) -> QuatAlgebra:
-        return QuatAlgebra(self.field, self.a, self.b)
+        # built on first use and kept: split_pair asks for it on every call
+        if self._quaternions is None:
+            self._quaternions = QuatAlgebra(self.field, self.a, self.b)
+        return self._quaternions
 
     def __str__(self):
         return f"O({self.a},{self.b},{self.c}) over {self.field}"
@@ -197,7 +228,7 @@ class AlgebraElement:
         self.coords = coords
 
     def _check_same(self, other):
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraMismatchError(
                 f"cannot combine an element of {other.algebra} with one of {self.algebra}"
             )
@@ -241,26 +272,15 @@ class AlgebraElement:
     def _table_mul(self, other):
         alg = self.algebra
         field = alg.field
-        fadd, fmul = field._add, field._mul
-        zero_raw = field.zero.raw
-        one_raw = field.one.raw
-        acc = [zero_raw] * alg.dim
-        table = alg._table_raw
-        ys = [y.raw for y in other.coords]
-        for i, xe in enumerate(self.coords):
-            xi = xe.raw
-            if xi == zero_raw:
-                continue
-            row = table[i]
-            for j, yj in enumerate(ys):
-                if yj == zero_raw:
-                    continue
-                k, coeff = row[j]
-                term = fmul(xi, yj)
-                if coeff != one_raw:
-                    term = fmul(term, coeff)
-                acc[k] = fadd(acc[k], term)
-        return type(self)(alg, tuple(FieldElement(field, v) for v in acc))
+        lift, dot, scale, drop = field._lift, field._dot, field._scale, field._drop
+        xs, dx = lift([e.raw for e in self.coords])
+        ys, dy = lift([e.raw for e in other.coords])
+        den = dx * alg._coeff_den * dy
+        # row k of the left map of x, dotted with y, reduced once
+        return type(self)(alg, tuple([
+            FieldElement(field, drop(dot(scale(gather(xs), coeffs), ys), den))
+            for gather, coeffs in alg._mul_rows
+        ]))
 
     def scale(self, factor):
         lam = self.algebra.field.element(factor)
@@ -271,9 +291,15 @@ class AlgebraElement:
             return NotImplemented
         if n < 0:
             raise ValueError("negative powers are not defined here; use inverse()")
-        out = self.algebra.one
-        for _ in range(n):
-            out = out * self
+        # square-and-multiply; valid in octonions too, which are alternative
+        # and hence power-associative (Artin's theorem)
+        out, base = self.algebra.one, self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- the quadratic-algebra structure ---------------------------------

@@ -5,13 +5,34 @@ Every value is immutable and kept in a canonical form (least residue,
 reduced fraction, reduced coordinate pair), so structural equality is field
 equality and elements can be hashed, shared between threads, and compared
 freely.  Nothing here ever touches floating point.
+
+Each field also carries a private lazy-reduction kernel for sums of
+products (matrix entries, algebra product coordinates):
+
+- ``_lift(raws) -> (vec, den)`` writes canonical values as integers over
+  one shared denominator: residues unchanged with den 1 over F_p,
+  numerators over the lcm of the denominators over Q, and integer
+  ``(r, s)`` pairs over the lcm of all 2n denominators over Q(sqrt d);
+- ``_dot(u, v)`` is the unreduced integer (or integer-pair) dot product
+  of two lifted vectors, over the product of their denominators, and
+  ``_scale(u, v)`` the unreduced entrywise products, over the same
+  denominator (the weights of a structure-constant product);
+- ``_drop(acc, den) -> raw`` makes the one exact reduction of an output
+  entry: a single ``% p``, one ``Fraction(acc, den)``, or two of them.
+  A zero comes back as the field's own zero value, so callers can share
+  the zero element.
+
+Nothing is reduced between the lift and the drop, and nothing is ever
+rounded: every output entry costs exactly one exact reduction, and it is
+the canonical value that reducing after every step would give.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 
 class MixedFieldError(ValueError):
@@ -77,7 +98,10 @@ def _as_fraction(value) -> Fraction:
 def _parse_fraction(text: str) -> Fraction:
     if not _RAT_RE.fullmatch(text):
         raise ParseError(f"bad rational literal {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"bad rational literal {text!r}: zero denominator") from None
 
 
 def _rational_sqrt(x: Fraction):
@@ -147,11 +171,17 @@ class FieldElement:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.inv()
-        raw = base.raw
+        fmul = self.field._mul
+        base = (self if n >= 0 else self.inv()).raw
         out = self.field.one.raw
-        for _ in range(abs(n)):
-            out = self.field._mul(out, raw)
+        n = abs(n)
+        # square-and-multiply: one squaring per bit of n
+        while n:
+            if n & 1:
+                out = fmul(out, base)
+            n >>= 1
+            if n:
+                base = fmul(base, base)
         return FieldElement(self.field, out)
 
     def inv(self) -> "FieldElement":
@@ -177,7 +207,9 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.raw == other.raw
+            return self.raw == other.raw and (
+                self.field is other.field or self.field == other.field
+            )
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             try:
                 return self.raw == self.field._canon(other)
@@ -272,6 +304,18 @@ class PrimeField(Field):
             raise ZeroDivisionError(f"division by zero in {self}")
         return pow(x, self.p - 2, self.p)
 
+    def _lift(self, raws):
+        return raws, 1
+
+    def _dot(self, u, v):
+        return sum(map(mul, u, v))
+
+    def _scale(self, u, v):
+        return map(mul, u, v)
+
+    def _drop(self, acc, den):
+        return acc % self.p
+
     def _sqrt(self, x):
         if self.p >= SQRT_SCAN_LIMIT:
             raise ValueError(
@@ -332,6 +376,21 @@ class RationalField(Field):
         if x == 0:
             raise ZeroDivisionError("division by zero in Q")
         return 1 / x
+
+    def _lift(self, raws):
+        den = lcm(*[x.denominator for x in raws])
+        if den == 1:
+            return [x.numerator for x in raws], 1
+        return [x.numerator * (den // x.denominator) for x in raws], den
+
+    def _dot(self, u, v):
+        return sum(map(mul, u, v))
+
+    def _scale(self, u, v):
+        return map(mul, u, v)
+
+    def _drop(self, acc, den):
+        return Fraction(acc, den) if acc else self._zero.raw
 
     def _sqrt(self, x):
         root = _rational_sqrt(x)
@@ -405,6 +464,35 @@ class QuadraticField(Field):
         if nrm == 0:
             raise ZeroDivisionError(f"division by zero in {self}")
         return (r / nrm, -s / nrm)
+
+    def _lift(self, raws):
+        den = lcm(*[c.denominator for x in raws for c in x])
+        if den == 1:
+            return [(r.numerator, s.numerator) for r, s in raws], 1
+        return [
+            (r.numerator * (den // r.denominator), s.numerator * (den // s.denominator))
+            for r, s in raws
+        ], den
+
+    def _dot(self, u, v):
+        rr = ss = rs = sr = 0
+        for (r, s), (t, w) in zip(u, v):
+            rr += r * t
+            ss += s * w
+            rs += r * w
+            sr += s * t
+        return (rr + self.d * ss, rs + sr)
+
+    def _scale(self, u, v):
+        d = self.d
+        return [(r * t + d * s * w, r * w + s * t) for (r, s), (t, w) in zip(u, v)]
+
+    def _drop(self, acc, den):
+        zero = self._zero.raw
+        if acc == (0, 0):
+            return zero
+        r, s = acc
+        return (Fraction(r, den) if r else zero[0], Fraction(s, den) if s else zero[1])
 
     def _sqrt(self, x):
         r, s = x

@@ -2,10 +2,17 @@
 with exact dense 4x4/8x8 matrix arithmetic.
 
 ``left_rep(x)`` is the matrix L with L . coords(y) = coords(x y); likewise
-``right_rep(x)`` represents y -> y x.  ``block_check`` compares the 8x8
-matrices against their assembly from 4x4 blocks of the two quaternion
-halves, in both the classical fixed-sign form (valid for c = -1) and the
-parametric form that carries the doubling parameter.
+``right_rep(x)`` represents y -> y x.  Both are read off the algebra's
+structure constants: wherever f_i f_j = c_ij f_k, L[k][j] = x_i c_ij and
+R[k][i] = x_j c_ij, so no matrix is transcribed by hand.  ``block_check``
+compares the 8x8 maps read off the octonion table against their assembly
+from 4x4 blocks read off the quaternion table of the two halves, in both
+the classical fixed-sign form (valid for c = -1) and the parametric form
+that carries the doubling parameter; since the two tables are transcribed
+independently, the comparison stays a cross-check of both.
+
+Matrix products reduce each output entry once, through the field's
+lazy-reduction kernel (see ``kpotent.fields``).
 """
 
 from __future__ import annotations
@@ -32,6 +39,15 @@ class SquareMatrix:
         self.rows = rows
 
     @classmethod
+    def _of_elements(cls, field: Field, rows) -> "SquareMatrix":
+        # square tuples of elements of `field`: nothing is re-validated
+        m = object.__new__(cls)
+        m.field = field
+        m.order = len(rows)
+        m.rows = rows
+        return m
+
+    @classmethod
     def identity(cls, order: int, field: Field) -> "SquareMatrix":
         one, zero = field.one, field.zero
         return cls(field, tuple(
@@ -46,9 +62,11 @@ class SquareMatrix:
 
     @classmethod
     def from_blocks(cls, tl, tr, bl, br) -> "SquareMatrix":
+        if any(m.field != tl.field or m.order != 4 for m in (tl, tr, bl, br)):
+            raise ValueError("blocks are 4x4 matrices over one field")
         rows = [row_a + row_b for row_a, row_b in zip(tl.rows, tr.rows)]
         rows += [row_a + row_b for row_a, row_b in zip(bl.rows, br.rows)]
-        return cls(tl.field, rows)
+        return cls._of_elements(tl.field, tuple(rows))
 
     def _check_compatible(self, other):
         if other.field != self.field or other.order != self.order:
@@ -58,7 +76,7 @@ class SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check_compatible(other)
-        return SquareMatrix(self.field, tuple(
+        return SquareMatrix._of_elements(self.field, tuple(
             tuple(x + y for x, y in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)
         ))
@@ -67,13 +85,15 @@ class SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check_compatible(other)
-        return SquareMatrix(self.field, tuple(
+        return SquareMatrix._of_elements(self.field, tuple(
             tuple(x - y for x, y in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)
         ))
 
     def __neg__(self):
-        return SquareMatrix(self.field, tuple(tuple(-x for x in row) for row in self.rows))
+        return SquareMatrix._of_elements(
+            self.field, tuple(tuple(-x for x in row) for row in self.rows)
+        )
 
     def __mul__(self, other):
         if isinstance(other, SquareMatrix):
@@ -91,34 +111,25 @@ class SquareMatrix:
     __matmul__ = __mul__
 
     def _mat_mul(self, other):
+        # each row of self and column of other is lifted once; each entry is
+        # then one unreduced dot product and one reduction
         field = self.field
-        fadd, fmul = field._add, field._mul
-        zero_raw = field.zero.raw
-        n = self.order
-        cols = tuple(
-            tuple(other.rows[k][j].raw for k in range(n)) for j in range(n)
-        )
-        zero_elem = field.zero
+        lift, dot, drop = field._lift, field._dot, field._drop
+        zero = field.zero
+        zero_raw = zero.raw
+        cols = [lift([e.raw for e in col]) for col in zip(*other.rows)]
         out = []
-        for i in range(n):
-            # representation matrices of basis elements are sparse; skipping
-            # zero terms once per row keeps those products cheap
-            nonzero = tuple(
-                (k, e.raw) for k, e in enumerate(self.rows[i]) if e.raw != zero_raw
-            )
-            out_row = []
-            for j in range(n):
-                col = cols[j]
-                acc = zero_raw
-                for k, xk in nonzero:
-                    acc = fadd(acc, fmul(xk, col[k]))
-                out_row.append(zero_elem if acc == zero_raw else FieldElement(field, acc))
-            out.append(tuple(out_row))
-        return SquareMatrix(field, tuple(out))
+        for row, rden in (lift([e.raw for e in row]) for row in self.rows):
+            # drop gives back the field's own zero value for zero entries
+            entries = [drop(dot(row, col), rden * cden) for col, cden in cols]
+            out.append(tuple([
+                zero if v is zero_raw else FieldElement(field, v) for v in entries
+            ]))
+        return SquareMatrix._of_elements(field, tuple(out))
 
     def scale(self, factor):
         lam = self.field.element(factor)
-        return SquareMatrix(self.field, tuple(
+        return SquareMatrix._of_elements(self.field, tuple(
             tuple(lam * x for x in row) for row in self.rows
         ))
 
@@ -138,7 +149,7 @@ class SquareMatrix:
         return result
 
     def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(self.field, tuple(zip(*self.rows)))
+        return SquareMatrix._of_elements(self.field, tuple(zip(*self.rows)))
 
     @property
     def is_zero(self) -> bool:
@@ -184,7 +195,18 @@ class SquareMatrix:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad matrix JSON: {exc}") from None
-        return cls(field, [tuple(field.parse(tok) for tok in row) for row in data])
+        if not isinstance(data, list) or not all(
+            isinstance(row, list) and all(isinstance(tok, str) for tok in row)
+            for row in data
+        ):
+            raise ParseError("matrix JSON must be a list of lists of strings")
+        rows = []
+        for i, row in enumerate(data):
+            try:
+                rows.append(tuple(field.parse(tok) for tok in row))
+            except ParseError as exc:
+                raise ParseError(f"row {i}: {exc}") from None
+        return cls(field, rows)
 
     def __str__(self):
         return self.to_csv()
@@ -193,84 +215,38 @@ class SquareMatrix:
         return f"<{self.order}x{self.order} over {self.field}>\n{self.to_csv()}"
 
 
-def _left4(q: Quaternion) -> SquareMatrix:
-    alg = q.algebra
-    a, b = alg.a, alg.b
-    ab = a * b
-    q0, q1, q2, q3 = q.coords
-    return SquareMatrix(alg.field, (
-        (q0, a * q1, b * q2, -(ab * q3)),
-        (q1, q0, b * q3, -(b * q2)),
-        (q2, -(a * q3), q0, a * q1),
-        (q3, -q2, q1, q0),
-    ))
-
-
-def _right4(q: Quaternion) -> SquareMatrix:
-    alg = q.algebra
-    a, b = alg.a, alg.b
-    ab = a * b
-    q0, q1, q2, q3 = q.coords
-    return SquareMatrix(alg.field, (
-        (q0, a * q1, b * q2, -(ab * q3)),
-        (q1, q0, -(b * q3), b * q2),
-        (q2, a * q3, q0, -(a * q1)),
-        (q3, q2, -q1, q0),
-    ))
-
-
-def _left8(x: Octonion) -> SquareMatrix:
+def _rep(x: AlgebraElement, left: bool) -> SquareMatrix:
+    # wherever f_i f_j = c_ij f_k, y -> x y sends coordinate j to k with
+    # weight x_i c_ij and y -> y x sends coordinate i to k with weight x_j c_ij;
+    # every entry is one such product, so nothing is summed.  Walking the
+    # table by rows (left) or columns (right) fixes the factor of x.
+    if not isinstance(x, (Quaternion, Octonion)):
+        raise TypeError(f"no representation for {type(x).__name__}")
     alg = x.algebra
-    a, b, c = alg.a, alg.b, alg.c
-    ab, ac, bc = a * b, a * c, b * c
-    abc = ab * c
-    x0, x1, x2, x3, x4, x5, x6, x7 = x.coords
-    return SquareMatrix(alg.field, (
-        (x0, a * x1, b * x2, -(ab * x3), c * x4, -(ac * x5), -(bc * x6), abc * x7),
-        (x1, x0, b * x3, -(b * x2), c * x5, -(c * x4), bc * x7, -(bc * x6)),
-        (x2, -(a * x3), x0, a * x1, c * x6, -(ac * x7), -(c * x4), ac * x5),
-        (x3, -x2, x1, x0, c * x7, -(c * x6), c * x5, -(c * x4)),
-        (x4, -(a * x5), -(b * x6), ab * x7, x0, a * x1, b * x2, -(ab * x3)),
-        (x5, -x4, -(b * x7), b * x6, x1, x0, -(b * x3), b * x2),
-        (x6, a * x7, -x4, -(a * x5), x2, a * x3, x0, -(a * x1)),
-        (x7, x6, -x5, -x4, x3, x2, -x1, x0),
-    ))
-
-
-def _right8(x: Octonion) -> SquareMatrix:
-    alg = x.algebra
-    a, b, c = alg.a, alg.b, alg.c
-    ab, ac, bc = a * b, a * c, b * c
-    abc = ab * c
-    x0, x1, x2, x3, x4, x5, x6, x7 = x.coords
-    return SquareMatrix(alg.field, (
-        (x0, a * x1, b * x2, -(ab * x3), c * x4, -(ac * x5), -(bc * x6), abc * x7),
-        (x1, x0, -(b * x3), b * x2, -(c * x5), c * x4, -(bc * x7), bc * x6),
-        (x2, a * x3, x0, -(a * x1), -(c * x6), ac * x7, c * x4, -(ac * x5)),
-        (x3, x2, -x1, x0, -(c * x7), c * x6, -(c * x5), c * x4),
-        (x4, a * x5, b * x6, -(ab * x7), x0, -(a * x1), -(b * x2), ab * x3),
-        (x5, x4, b * x7, -(b * x6), -x1, x0, b * x3, -(b * x2)),
-        (x6, -(a * x7), x4, a * x5, -x2, -(a * x3), x0, a * x1),
-        (x7, -x6, x5, x4, -x3, -x2, x1, x0),
-    ))
+    field = alg.field
+    fmul, zero = field._mul, field.zero
+    rows = [[zero] * alg.dim for _ in range(alg.dim)]
+    lines = alg._table_raw if left else zip(*alg._table_raw)
+    for xe, line in zip(x.coords, lines):
+        if xe.is_zero:
+            continue
+        xv, neg = xe, -xe
+        for pos, (k, coeff, unit) in enumerate(line):
+            rows[k][pos] = (
+                xv if unit == 1 else neg if unit == -1
+                else FieldElement(field, fmul(xv.raw, coeff))
+            )
+    return SquareMatrix._of_elements(field, tuple(map(tuple, rows)))
 
 
 def left_rep(x: AlgebraElement) -> SquareMatrix:
     """Matrix of y -> x y in the standard basis (4x4 or 8x8)."""
-    if isinstance(x, Quaternion):
-        return _left4(x)
-    if isinstance(x, Octonion):
-        return _left8(x)
-    raise TypeError(f"no representation for {type(x).__name__}")
+    return _rep(x, left=True)
 
 
 def right_rep(x: AlgebraElement) -> SquareMatrix:
     """Matrix of y -> y x in the standard basis (4x4 or 8x8)."""
-    if isinstance(x, Quaternion):
-        return _right4(x)
-    if isinstance(x, Octonion):
-        return _right8(x)
-    raise TypeError(f"no representation for {type(x).__name__}")
+    return _rep(x, left=False)
 
 
 def _conjugation_signs(field: Field) -> SquareMatrix:
@@ -286,7 +262,10 @@ def _conjugation_signs(field: Field) -> SquareMatrix:
 
 @dataclass(frozen=True)
 class BlockCheckReport:
-    """Entrywise comparison of block assemblies against the explicit 8x8 maps.
+    """Entrywise comparison of block assemblies against the 8x8 maps.
+
+    The 8x8 maps are read off the octonion structure constants, the 4x4
+    blocks off the quaternion structure constants of the two halves.
 
     "classical" uses the fixed-sign block formulas that are only valid when
     the doubling parameter is -1 (and, for the right map, with the mixed-up
@@ -327,25 +306,26 @@ def _mismatches(m1: SquareMatrix, m2: SquareMatrix) -> tuple:
 
 
 def block_check(x: Octonion) -> BlockCheckReport:
-    """Compare block-assembled 8x8 representations with the explicit ones."""
+    """Compare 8x8 representations assembled from the 4x4 maps of the two
+    quaternion halves with the 8x8 maps of x, entry by entry."""
     alg = x.algebra
     field = alg.field
     sign = _conjugation_signs(field)
     xp, xpp = x.split_pair()
     c = alg.c
 
-    lp, rp = _left4(xp), _right4(xp)
-    lpp, rpp = _left4(xpp), _right4(xpp)
-    lpp_conj = _left4(xpp.conjugate())
-    rp_conj = _right4(xp.conjugate())
+    lp, rp = left_rep(xp), right_rep(xp)
+    lpp, rpp = left_rep(xpp), right_rep(xpp)
+    lpp_conj = left_rep(xpp.conjugate())
+    rp_conj = right_rep(xp.conjugate())
 
     left_classical = SquareMatrix.from_blocks(lp, -(rpp * sign), lpp * sign, rp)
     left_parametric = SquareMatrix.from_blocks(lp, (rpp * sign).scale(c), lpp * sign, rp)
     right_classical = SquareMatrix.from_blocks(rp, -lpp_conj, lp, rp_conj)
     right_parametric = SquareMatrix.from_blocks(rp, lpp_conj.scale(c), lpp, rp_conj)
 
-    explicit_left = _left8(x)
-    explicit_right = _right8(x)
+    explicit_left = left_rep(x)
+    explicit_right = right_rep(x)
     return BlockCheckReport(
         left_classical_mismatches=_mismatches(left_classical, explicit_left),
         right_classical_mismatches=_mismatches(right_classical, explicit_right),

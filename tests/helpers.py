@@ -3,17 +3,23 @@
 The oracle classifies by literal repeated element multiplication and is the
 slow, independent route that census results are checked against.  The
 brute-force census and witness scans below walk every coordinate tuple and
-are the oracles for the norm-distribution routes in kpotent.search.
+are the oracles for the norm-distribution routes in kpotent.search.  The
+hand-transcribed representation matrices and the per-term schoolbook
+products are the literal-definition oracles for the table-derived maps and
+the lazy-reduction kernel.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from kpotent import (
     OctAlgebra,
     PrimeField,
     QuadraticField,
     QuatAlgebra,
+    Quaternion,
     RationalField,
     SplitMix64,
     SquareMatrix,
@@ -166,3 +172,118 @@ def quat(field, a, b):
 
 def octo(field, a, b, c):
     return OctAlgebra(field, field.parse(a), field.parse(b), field.parse(c))
+
+
+# -- literal-definition oracles for the representation maps and products -----
+
+
+def _left4(q):
+    alg = q.algebra
+    a, b = alg.a, alg.b
+    ab = a * b
+    q0, q1, q2, q3 = q.coords
+    return SquareMatrix(alg.field, (
+        (q0, a * q1, b * q2, -(ab * q3)),
+        (q1, q0, b * q3, -(b * q2)),
+        (q2, -(a * q3), q0, a * q1),
+        (q3, -q2, q1, q0),
+    ))
+
+
+def _right4(q):
+    alg = q.algebra
+    a, b = alg.a, alg.b
+    ab = a * b
+    q0, q1, q2, q3 = q.coords
+    return SquareMatrix(alg.field, (
+        (q0, a * q1, b * q2, -(ab * q3)),
+        (q1, q0, -(b * q3), b * q2),
+        (q2, a * q3, q0, -(a * q1)),
+        (q3, q2, -q1, q0),
+    ))
+
+
+def _left8(x):
+    alg = x.algebra
+    a, b, c = alg.a, alg.b, alg.c
+    ab, ac, bc = a * b, a * c, b * c
+    abc = ab * c
+    x0, x1, x2, x3, x4, x5, x6, x7 = x.coords
+    return SquareMatrix(alg.field, (
+        (x0, a * x1, b * x2, -(ab * x3), c * x4, -(ac * x5), -(bc * x6), abc * x7),
+        (x1, x0, b * x3, -(b * x2), c * x5, -(c * x4), bc * x7, -(bc * x6)),
+        (x2, -(a * x3), x0, a * x1, c * x6, -(ac * x7), -(c * x4), ac * x5),
+        (x3, -x2, x1, x0, c * x7, -(c * x6), c * x5, -(c * x4)),
+        (x4, -(a * x5), -(b * x6), ab * x7, x0, a * x1, b * x2, -(ab * x3)),
+        (x5, -x4, -(b * x7), b * x6, x1, x0, -(b * x3), b * x2),
+        (x6, a * x7, -x4, -(a * x5), x2, a * x3, x0, -(a * x1)),
+        (x7, x6, -x5, -x4, x3, x2, -x1, x0),
+    ))
+
+
+def _right8(x):
+    alg = x.algebra
+    a, b, c = alg.a, alg.b, alg.c
+    ab, ac, bc = a * b, a * c, b * c
+    abc = ab * c
+    x0, x1, x2, x3, x4, x5, x6, x7 = x.coords
+    return SquareMatrix(alg.field, (
+        (x0, a * x1, b * x2, -(ab * x3), c * x4, -(ac * x5), -(bc * x6), abc * x7),
+        (x1, x0, -(b * x3), b * x2, -(c * x5), c * x4, -(bc * x7), bc * x6),
+        (x2, a * x3, x0, -(a * x1), -(c * x6), ac * x7, c * x4, -(ac * x5)),
+        (x3, x2, -x1, x0, -(c * x7), c * x6, -(c * x5), c * x4),
+        (x4, a * x5, b * x6, -(ab * x7), x0, -(a * x1), -(b * x2), ab * x3),
+        (x5, x4, b * x7, -(b * x6), -x1, x0, b * x3, -(b * x2)),
+        (x6, -(a * x7), x4, a * x5, -x2, -(a * x3), x0, a * x1),
+        (x7, -x6, x5, x4, -x3, -x2, x1, x0),
+    ))
+
+
+def transcribed_left_rep(x):
+    """The left map of x, entries written out by hand from the basis table."""
+    return _left4(x) if isinstance(x, Quaternion) else _left8(x)
+
+
+def transcribed_right_rep(x):
+    """The right map of x, entries written out by hand from the basis table."""
+    return _right4(x) if isinstance(x, Quaternion) else _right8(x)
+
+
+def schoolbook_mul(x, y):
+    """x*y term by term from the structure constants, reducing every step."""
+    alg = x.algebra
+    field = alg.field
+    acc = [field.zero] * alg.dim
+    for i, xi in enumerate(x.coords):
+        for j, yj in enumerate(y.coords):
+            k, coeff, _ = alg._table_raw[i][j]
+            acc[k] = acc[k] + xi * yj * field.element(coeff)
+    return alg.element(acc)
+
+
+def schoolbook_matmul(a, b):
+    """The matrix product with every entry summed term by term."""
+    n = a.order
+    field = a.field
+    return SquareMatrix(field, [
+        [sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), field.zero)
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def is_canonical(field, raw):
+    """Residues in [0, p), reduced fractions, pairs of reduced fractions."""
+    if isinstance(field, PrimeField):
+        return type(raw) is int and 0 <= raw < field.p
+    if isinstance(field, QuadraticField):
+        if not (type(raw) is tuple and len(raw) == 2):
+            return False
+        parts = raw
+    else:
+        parts = (raw,)
+    return all(
+        type(v) is Fraction and v.denominator > 0
+        and gcd(v.numerator, v.denominator) == 1
+        for v in parts
+    )

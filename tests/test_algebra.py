@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,26 @@ def test_power_associativity(field):
             for m in range(9):
                 for n in range(9 - m):
                     assert powers[m] * powers[n] == powers[m + n]
+
+
+def test_power_matches_repeated_multiplication(field):
+    rng = random.Random(5)
+    for alg in (H(field, 2, 3), O(field, 2, 3, 6)):
+        for x in (alg.random_element(rng), alg.basis_element(3)):
+            power = alg.one
+            for n in range(21):
+                assert x ** n == power, n
+                power = power * x
+
+
+def test_large_power_is_fast(f13):
+    alg = H(f13, 2, 3)
+    x = alg.element((1, 2, 3, 4))
+    assert x ** 6 == alg.one   # so x ** 10**7 = x ** (10**7 % 6) = x ** 4
+    start = time.perf_counter()
+    big = x ** 10**7
+    assert time.perf_counter() - start < 0.5
+    assert big == x ** 4
 
 
 # -- algebraic laws (smoke scale; the 1000-case sweeps are in acceptance) --------

@@ -88,6 +88,21 @@ def test_verify_parse_error(capsys):
     assert "coordinate 2" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--params", "1/0,1", "--coords", "1,0,0,0"),
+         "error: bad rational literal '1/0': zero denominator\n"),
+        (("--params", "-1,-1", "--coords", "1/0,0,0,0"),
+         "error: coordinate 0: bad rational literal '1/0': zero denominator\n"),
+    ],
+)
+def test_verify_zero_denominator_error(capsys, flags, message):
+    code, out, err = run(capsys, "verify", "--field", "q", "--algebra", "quat", *flags)
+    assert code == 1 and out == ""
+    assert err == message
+
+
 # -- rep ----------------------------------------------------------------------------
 
 

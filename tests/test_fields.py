@@ -1,4 +1,6 @@
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -259,3 +261,41 @@ def test_element_repr_and_hash(f5):
     assert hash(x) == hash(f5.element(-2))
     assert x == 3 and x != 4
     assert isinstance(x, FieldElement)
+
+
+# -- powers ----------------------------------------------------------------
+
+
+def test_power_matches_repeated_multiplication(field):
+    rng = random.Random(6)
+    for x in (field.random_element(rng), field.random_element(rng), field.one):
+        if x.is_zero:
+            continue
+        power = field.one
+        for n in range(21):
+            assert x ** n == power, n
+            assert x ** -n == power.inv(), n
+            power = power * x
+
+
+def test_large_power_is_fast(f13):
+    start = time.perf_counter()
+    big = f13.element(2) ** 10**9
+    assert time.perf_counter() - start < 0.5
+    assert big == pow(2, 10**9, 13)
+
+
+# -- zero denominators are parse errors ---------------------------------------
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+def test_zero_denominator_literals(rationals, qsqrt2, text):
+    for field in (rationals, qsqrt2):
+        with pytest.raises(ParseError, match=f"'{re.escape(text)}': zero denominator"):
+            field.parse(text)
+
+
+@pytest.mark.parametrize("text", ["1+1/0s", "1/0+s", "-2/0s"])
+def test_zero_denominator_quadratic_parts(qsqrt2, text):
+    with pytest.raises(ParseError, match="zero denominator"):
+        qsqrt2.parse(text)

@@ -343,3 +343,20 @@ def test_matrix_parse_errors(f5):
         SquareMatrix.from_csv(f5, "1,2,3,4\n1,x,3,4\n0,0,0,0\n0,0,0,0")
     with pytest.raises(ParseError):
         SquareMatrix.from_json(f5, "not json")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["5", '"1,2"', "null", "{}", "[1, 2]", '["1", "2"]', "[[1, 2], [3, 4]]",
+     '[["1", null]]', '[["1"], "2"]'],
+)
+def test_matrix_json_shape_errors(f5, text):
+    with pytest.raises(ParseError, match="list of lists of strings"):
+        SquareMatrix.from_json(f5, text)
+
+
+def test_matrix_json_entry_errors(f5):
+    rows = [["0"] * 4 for _ in range(4)]
+    rows[2][1] = "x"
+    with pytest.raises(ParseError, match="row 2"):
+        SquareMatrix.from_json(f5, json.dumps(rows))
