@@ -48,7 +48,7 @@ class ParseError(ValueError):
 
 
 MAX_PRIME = 1 << 64          # residues must fit a 64-bit word
-SQRT_SCAN_LIMIT = 1 << 20    # largest p for which root scans are allowed
+SQRT_LIMIT = 1 << 20    # largest p for which square roots are offered
 MAX_QUAD_D = 10 ** 12        # keeps the squarefree scan cheap
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
@@ -317,15 +317,35 @@ class PrimeField(Field):
         return acc % self.p
 
     def _sqrt(self, x):
-        if self.p >= SQRT_SCAN_LIMIT:
+        if self.p >= SQRT_LIMIT:
             raise ValueError(
                 f"square roots in {self} need p < 2**20, got p={self.p}"
             )
-        # scanning the low half returns the least of the two roots first
-        for y in range(self.p // 2 + 1):
-            if y * y % self.p == x:
-                return y
-        raise NotASquareError(f"{x} is not a square in {self}")
+        p = self.p
+        if x == 0:
+            return 0
+        if pow(x, (p - 1) // 2, p) != 1:  # Euler's criterion
+            raise NotASquareError(f"{x} is not a square in {self}")
+        # Tonelli-Shanks: p - 1 = q * 2^s with q odd, z a non-residue
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, t, root = pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
+        while t != 1:
+            # least i with t^(2^i) = 1; then fold c^(2^(s-i-1)) into the root
+            i, t2 = 1, t * t % p
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c = i, b * b % p
+            t, root = t * c % p, root * b % p
+        # the canonical root is the least of the two
+        return min(root, p - root)
 
     def _format(self, raw):
         return str(raw)

@@ -287,3 +287,12 @@ def is_canonical(field, raw):
         and gcd(v.numerator, v.denominator) == 1
         for v in parts
     )
+
+
+def least_roots(p):
+    """{x: least y in [0, p/2] with y^2 = x mod p} for every square x, by
+    scanning y: the literal definition of the canonical F_p square root."""
+    roots = {}
+    for y in range(p // 2 + 1):
+        roots.setdefault(y * y % p, y)
+    return roots

@@ -18,7 +18,7 @@ from kpotent import (
     parse_field,
 )
 
-from helpers import ALL_FIELD_TOKENS, field_by_token
+from helpers import ALL_FIELD_TOKENS, field_by_token, least_roots
 
 
 @pytest.fixture(params=ALL_FIELD_TOKENS)
@@ -134,6 +134,62 @@ def test_sqrt_quadratic(qsqrt2):
     for bad in ((3, 0), (0, 1), (1, 1), (-1, 0)):
         with pytest.raises(NotASquareError):
             qsqrt2.element(bad).sqrt()
+
+
+# primes with p - 1 divisible by 2, 4, 8, 16, 256 and 2^16, so
+# Tonelli-Shanks runs from zero to sixteen folding rounds
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 193, 257, 769, 7681, 65537])
+def test_sqrt_matches_scan_on_every_residue(p):
+    field = PrimeField(p)
+    roots = least_roots(p)
+    for x in range(p):
+        expected = roots.get(x)
+        if expected is None:
+            with pytest.raises(NotASquareError):
+                field.element(x).sqrt()
+        else:
+            assert field.element(x).sqrt().raw == expected
+
+
+@pytest.mark.parametrize("p", [1048573, 1048571, 1048559, 786433])
+def test_sqrt_matches_scan_near_the_limit(p):
+    # 786433 = 3 * 2^18 + 1 takes the most folding rounds below 2^20
+    field = PrimeField(p)
+    roots = least_roots(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        y = rng.randrange(p)
+        x = y * y % p
+        assert field.element(x).sqrt().raw == roots[x]
+    non_residue = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) != 1)
+    with pytest.raises(NotASquareError):
+        field.element(non_residue).sqrt()
+
+
+def test_sqrt_matches_sympy():
+    residue_ntheory = pytest.importorskip("sympy.ntheory.residue_ntheory")
+    rng = random.Random(2024)
+    for p in (1048573, 786433, 65537, 7681, 40961):
+        field = PrimeField(p)
+        for _ in range(50):
+            x = rng.randrange(1, p)
+            # sympy's root, when there is one, is the one in [0, p/2]
+            expected = residue_ntheory.sqrt_mod(x, p)
+            if expected is None:
+                with pytest.raises(NotASquareError):
+                    field.element(x).sqrt()
+            else:
+                assert field.element(x).sqrt().raw == expected
+
+
+def test_large_prime_sqrt_is_fast():
+    # the root of a square costs the same wherever in [0, p) it lies
+    field = PrimeField(786433)
+    start = time.perf_counter()
+    for y in range(1, 2001):
+        root = field.element(y * y).sqrt()
+        assert root.raw == min(y, 786433 - y)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_sqrt_rejects_large_primes():
