@@ -96,9 +96,9 @@ class _TableAlgebra:
             (itemgetter(*rows), tuple(coeffs[i * dim + j] for j, i in enumerate(rows)))
             for rows in rows_of
         )
-        # coefficient vector of the norm form n(x) = sum w_i x_i^2
-        self._norm_coeffs = self._norm_coefficients()
-        self._norm_raw = tuple(w.raw for w in self._norm_coeffs)
+        # norm form n(x) = sum w_i x_i^2: w_0 = 1, w_i = -c_ii for f_i f_i = c_ii
+        diagonal = [row[i][1] for i, row in enumerate(self._table_raw)]
+        self._norm_raw = (one,) + tuple(field._neg(c) for c in diagonal[1:])
         self.zero = self.element((0,) * self.dim)
         self.one = self.element((1,) + (0,) * (self.dim - 1))
 
@@ -172,10 +172,6 @@ class QuatAlgebra(_TableAlgebra):
     def params(self):
         return (self.a, self.b)
 
-    def _norm_coefficients(self):
-        a, b = self.a, self.b
-        return (self.field.one, -a, -b, a * b)
-
     def __str__(self):
         return f"H({self.a},{self.b}) over {self.field}"
 
@@ -200,11 +196,6 @@ class OctAlgebra(_TableAlgebra):
     @property
     def params(self):
         return (self.a, self.b, self.c)
-
-    def _norm_coefficients(self):
-        a, b, c = self.a, self.b, self.c
-        ab = a * b
-        return (self.field.one, -a, -b, ab, -c, a * c, b * c, -(ab * c))
 
     def quaternion_subalgebra(self) -> QuatAlgebra:
         # built on first use and kept: split_pair asks for it on every call

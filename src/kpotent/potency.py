@@ -35,7 +35,8 @@ class PotencyReport:
     """Outcome of classifying one element.
 
     kind is "k-potent" (index = smallest k > 1 with x^k = x), "nilpotent"
-    (index = smallest n with x^n = 0) or "none" (index = the bound searched).
+    (index = smallest n with x^n = 0) or "none" (index = max_k, a clamp;
+    certain over Q and Q(sqrt d), searched up to max_k over F_p).
     """
 
     kind: str
@@ -57,35 +58,65 @@ class PotencyReport:
 
 def _ordered_division_algebra(algebra) -> bool:
     # a = b (= c) = -1 over Q or Q(sqrt d): the norm is a sum of squares in
-    # an ordered field, so a k-potent must have norm 0 or 1.
+    # an ordered field, the precondition of rotor generation
     if not isinstance(algebra.field, (RationalField, QuadraticField)):
         return False
     minus_one = -algebra.field.one
     return all(p == minus_one for p in algebra.params)
 
 
+def _check_max_k(max_k: int) -> None:
+    if max_k < 2:
+        raise ValueError("max_k must be at least 2")
+
+
+def _classify_plane(p: int, max_k: int, x0, n, scalar_tail: bool):
+    """(kind, index) of an element with scalar part x0, norm n and, if
+    scalar_tail, all other coordinates zero, from x^k = u + v x and
+    (u, v) -> (-n v, u + 2 x0 v) on residues mod p.  Over Q and Q(sqrt d)
+    p is 0 and x0, n are field elements; x^k = x forces n^k = n, so only
+    norms 0 and +-1 can be potent, and then k - 1 is the order of a root
+    of unity of degree <= 4 over Q, so k <= 13.
+    """
+    if not p and not (n == 0 or n == 1 or n == -1):
+        return ("none", max_k)
+    t = 2 * x0
+    if scalar_tail:
+        if x0 == 0:
+            return ("k-potent", 2)
+        t, n = x0, 0   # x^2 = x0 x, so x^k = x0^(k-1) x
+    u, v = 0, 1   # x^1 = 0 + 1*x
+    if p:
+        t %= p
+        for k in range(2, max_k + 1):
+            u, v = -n * v % p, (u + t * v) % p
+            if u == 0 and v in (0, 1):
+                return ("k-potent" if v else "nilpotent", k)
+        return ("none", max_k)
+    for k in range(2, min(max_k, 13) + 1):
+        u, v = -n * v, u + t * v
+        if u == 0 and v in (0, 1):
+            return ("k-potent" if v else "nilpotent", k)
+    return ("none", max_k)
+
+
 def classify(x: AlgebraElement, max_k: int = DEFAULT_MAX_K) -> PotencyReport:
-    """Classify x by computing successive powers exactly.
+    """Classify x by the (trace, norm) recursion; no element is multiplied.
 
     Zero is reported as k-potent with index 2, matching the literal
     definition (0^2 = 0); some conventions exclude it.  Over Q and Q(sqrt d)
-    with all algebra parameters -1 a norm outside {0, 1} settles the answer
-    immediately, since norms there are non-negative and must satisfy
-    n^(k-1) = 1.
+    "none" certifies that x is neither k-potent nor nilpotent for any k;
+    over F_p it says only that no index up to max_k exists.
     """
-    if max_k < 2:
-        raise ValueError("max_k must be at least 2")
+    _check_max_k(max_k)
     trace, norm = x.trace(), x.norm()
-    if _ordered_division_algebra(x.algebra) and not (norm.is_zero or norm.is_one):
-        return PotencyReport("none", max_k, trace, norm)
-    power = x
-    for k in range(2, max_k + 1):
-        power = power * x
-        if power == x:
-            return PotencyReport("k-potent", k, trace, norm)
-        if power.is_zero:
-            return PotencyReport("nilpotent", k, trace, norm)
-    return PotencyReport("none", max_k, trace, norm)
+    x0, field = x.coords[0], x.algebra.field
+    scalar_tail = all(c.is_zero for c in x.coords[1:])
+    if isinstance(field, (RationalField, QuadraticField)):
+        kind, index = _classify_plane(0, max_k, x0, norm, scalar_tail)
+    else:
+        kind, index = _classify_plane(field.p, max_k, x0.raw, norm.raw, scalar_tail)
+    return PotencyReport(kind, index, trace, norm)
 
 
 def rotor_generate(k: int, direction, algebra: QuatAlgebra) -> Quaternion:

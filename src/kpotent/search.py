@@ -6,8 +6,8 @@ algebra x^2 = t(x) x - n(x), so the powers of a non-scalar x live in the
 plane spanned by 1 and x, and x^m = u + v x follows the two-term recursion
 (u, v) -> (-n v, u + t v).  Since t(x) = 2 x0, the class of x depends only
 on its scalar part x0, its norm n(x) = w0 x0^2 + q(tail) and whether its
-tail is zero.  The element-level classifier in :mod:`kpotent.potency` is
-the independent slow route used to validate this.
+tail is zero.  ``potency._classify_plane`` runs it for ``classify`` too;
+the independent route is ``naive_potency`` in ``tests/helpers.py``.
 
 The exhaustive census therefore never visits the p^dim elements.  Suffix
 tables count, for each m, the coordinate tuples x_j..x_{dim-1} with
@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 from .fields import PrimeField
-from .potency import DEFAULT_MAX_K
+from .potency import DEFAULT_MAX_K, _check_max_k, _classify_plane
 from .rng import SplitMix64
 
 EXHAUSTIVE_BUDGET = 10 ** 8
@@ -59,30 +59,6 @@ def _require_prime_field(algebra) -> PrimeField:
     if not isinstance(algebra.field, PrimeField):
         raise ValueError(f"search runs over prime fields only, not {algebra.field}")
     return algebra.field
-
-
-def _classify_plane(p: int, max_k: int, x0: int, n: int, scalar_tail: bool):
-    """(kind, index) of an element with scalar part x0, norm n and, if
-    scalar_tail, all other coordinates zero."""
-    if scalar_tail:
-        if x0 == 0:
-            return ("k-potent", 2)
-        pw = x0
-        for k in range(2, max_k + 1):
-            pw = pw * x0 % p
-            if pw == x0:
-                return ("k-potent", k)
-        return ("none", max_k)
-    t = 2 * x0 % p
-    u, v = 0, 1   # x^1 = 0 + 1*x
-    for k in range(2, max_k + 1):
-        u, v = -n * v % p, (u + t * v) % p
-        if u == 0:
-            if v == 1:
-                return ("k-potent", k)
-            if v == 0:
-                return ("nilpotent", k)
-    return ("none", max_k)
 
 
 def _suffix_counts(p: int, weights) -> list:
@@ -158,6 +134,7 @@ def search_exhaustive(algebra, max_k: int = DEFAULT_MAX_K) -> list:
     member of its class.  Refused with SearchBudgetError when p^2 * max_k
     exceeds EXHAUSTIVE_BUDGET.
     """
+    _check_max_k(max_k)
     field = _require_prime_field(algebra)
     p = field.p
     if p * p * max_k > EXHAUSTIVE_BUDGET:
@@ -193,6 +170,7 @@ def search_sample(algebra, budget: int, seed: int, max_k: int = DEFAULT_MAX_K) -
     The same seed always yields the same census; per-row samples are the
     lexicographically smallest elements drawn for that row.
     """
+    _check_max_k(max_k)
     field = _require_prime_field(algebra)
     if budget < 1:
         raise ValueError("budget must be at least 1")

@@ -271,6 +271,16 @@ def test_search_budget_error_directs_to_sampling(capsys):
     assert "search_sample" in err or "sample" in err
 
 
+@pytest.mark.parametrize("mode", [("--mode", "exhaustive"),
+                                  ("--mode", "sample", "--budget", "50")])
+def test_search_rejects_max_k_below_two(capsys, mode):
+    code, out, err = run(
+        capsys, "search", "--field", "f5", "--params", "-1,-1", "--max-k", "-5", *mode,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: max_k must be at least 2\n"
+
+
 def test_search_json(capsys):
     code, out, _ = run(
         capsys, "search", "--field", "f3", "--algebra", "quat",

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from kpotent import (
     GenerationError,
     OctAlgebra,
+    QuadraticField,
     QuatAlgebra,
+    RationalField,
     SUPPORTED_ROTOR_KS,
     classify,
     demoivre_power_check,
@@ -16,6 +19,7 @@ from kpotent import (
     rotor_generate,
     split_generate,
 )
+from kpotent.algebra import AlgebraElement
 
 from helpers import naive_potency
 
@@ -108,6 +112,148 @@ def test_nonzero_nilpotents_have_index_two(f5):
         rep = classify(alg.random_element(rng), 32)
         if rep.kind == "nilpotent":
             assert rep.index == 2
+
+
+# -- the characteristic-0 bound ------------------------------------------------------
+# Over Q and Q(sqrt d) a k-potent x has k - 1 = the order of a root of unity of
+# degree <= 4 over Q, so k - 1 is 1, 2, 3, 4, 5, 6, 8, 10 or 12.  x0 + f1 with
+# f1^2 = x0^2 - 1 has norm 1, so it has index k when x0 = cos(2 pi j / (k - 1))
+# with j prime to k - 1.
+
+QUARTER = Fraction(1, 4)
+UNIT_ROTORS = [
+    # (d, 0 for Q; x0; index)
+    (0, Fraction(-1, 2), 4),
+    (0, 0, 5),
+    (0, HALF, 7),
+    (5, (-QUARTER, QUARTER), 6),
+    (5, (-QUARTER, -QUARTER), 6),
+    (5, (QUARTER, QUARTER), 11),
+    (5, (QUARTER, -QUARTER), 11),
+    (2, (0, HALF), 9),
+    (2, (0, -HALF), 9),
+    (3, (0, HALF), 13),
+    (3, (0, -HALF), 13),
+]
+
+
+def _field(d):
+    return RationalField() if d == 0 else QuadraticField(d)
+
+
+def _unit_rotor(d, x0, octonion=False):
+    field = _field(d)
+    x0 = field.element(x0)
+    a = x0 * x0 - 1
+    if octonion:
+        return OctAlgebra(field, a, -1, -1).element((x0, 1) + (0,) * 6)
+    return QuatAlgebra(field, a, -1).element((x0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("octonion", [False, True])
+@pytest.mark.parametrize(
+    "d,x0,index", UNIT_ROTORS,
+    ids=[f"sqrt{d}-{k}" if d else f"q-{k}" for d, _, k in UNIT_ROTORS],
+)
+def test_classify_reaches_every_characteristic_zero_index(d, x0, index, octonion):
+    x = _unit_rotor(d, x0, octonion)
+    for max_k in (16, 10 ** 6):
+        rep = classify(x, max_k)
+        assert (rep.kind, rep.index) == ("k-potent", index)
+    assert naive_potency(x, 16) == ("k-potent", index)
+    assert classify(x, index - 1).kind == "none"
+
+
+def test_classify_characteristic_zero_fixtures(rationals, hq):
+    h11 = QuatAlgebra(rationals, 1, 1)
+    h21 = QuatAlgebra(rationals, 2, 1)
+    cases = [
+        (hq.zero, ("k-potent", 2)),
+        (hq.one, ("k-potent", 2)),
+        (-hq.one, ("k-potent", 3)),
+        (h11.element((0, 1, 0, 0)), ("k-potent", 3)),           # f1^2 = 1, norm -1
+        (h11.element((HALF, HALF, 0, 0)), ("k-potent", 2)),     # idempotent
+        (h11.element((0, 1, 0, 1)), ("nilpotent", 2)),
+        (h11.element((-1, 1, 0, 0)), ("none", 16)),             # x^2 = -2x
+        (h11.element((1, 1, 1, 1)), ("none", 16)),              # x^2 = 2x
+        (h11.element((2, 2, 0, 1)), ("none", 16)),              # norm 1, trace 4
+        (h21.element((1, 1, 0, 0)), ("none", 16)),              # norm -1, trace 2
+    ]
+    for k in SUPPORTED_ROTOR_KS:
+        direction = (1, 2, 2) if k == 5 else (1, 1, 1)
+        cases.append((rotor_generate(k, direction, hq), ("k-potent", k)))
+    for x, expected in cases:
+        rep = classify(x, 16)
+        assert (rep.kind, rep.index) == naive_potency(x, 16) == expected
+
+
+def test_classify_random_characteristic_zero_elements():
+    rng = random.Random(17)
+    params = (1, -1, 2, -2, 3, HALF, -HALF)
+    for d in (0, 2, 3, 5):
+        field = _field(d)
+        for _ in range(12):
+            alg = (QuatAlgebra(field, rng.choice(params), rng.choice(params))
+                   if rng.random() < 0.6 else
+                   OctAlgebra(field, *(rng.choice(params) for _ in range(3))))
+            x = alg.random_element(rng)
+            rep = classify(x, 14)
+            assert (rep.kind, rep.index) == naive_potency(x, 14)
+
+
+def test_classify_random_unit_norm_elements():
+    # solve for a so that x0 + y f1 + z f2 + w f3 has norm n in {0, 1, -1}:
+    # n = x0^2 - a y^2 - b z^2 + a b w^2
+    rng = random.Random(23)
+    small = [Fraction(i, j) for i in range(-3, 4) for j in (1, 2, 3)]
+    seen = set()
+    for d in (0, 2, 3, 5):
+        field = _field(d)
+        for _ in range(40):
+            x0 = field.element(rng.choice(UNIT_ROTORS)[1] if d and rng.random() < 0.5
+                               else rng.choice(small))
+            y, z, w = (rng.choice(small) for _ in range(3))
+            b, n = field.element(rng.choice((1, -1, 2, HALF))), rng.choice((0, 1, -1))
+            den = b * w * w - y * y
+            if den.is_zero:
+                continue
+            a = (n - x0 * x0 + b * z * z) / den
+            if a.is_zero:
+                continue
+            x = QuatAlgebra(field, a, b).element((x0, y, z, w))
+            assert x.norm() == n
+            rep = classify(x, 14)
+            assert (rep.kind, rep.index) == naive_potency(x, 14)
+            seen.add(rep.kind)
+    assert seen == {"k-potent", "nilpotent", "none"}
+
+
+def test_classify_huge_bound_returns_at_once(rationals, qsqrt2):
+    h11 = QuatAlgebra(rationals, 1, 1)
+    elements = [
+        h11.element((1, 1, 1, 1)),
+        h11.element((2, 2, 0, 1)),
+        h11.element((HALF, HALF, 0, 0)),
+        QuatAlgebra(qsqrt2, 1, 1).element(((1, 1), 1, 1, (0, 1))),
+        _unit_rotor(3, (0, HALF)),
+    ]
+    for x in elements:
+        start = time.perf_counter()
+        rep = classify(x, 10 ** 6)
+        assert time.perf_counter() - start < 0.1
+        small = classify(x, 64)
+        assert rep.kind == small.kind
+        assert rep.index == (10 ** 6 if rep.kind == "none" else small.index)
+
+
+def test_classify_multiplies_no_elements(monkeypatch, f5, hq):
+    def refuse(self, other):
+        raise AssertionError("classify multiplied elements")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+    assert classify(QuatAlgebra(f5, -1, -1).element((2, 3, 1, 3))).index == 5
+    assert classify(hq.element((HALF,) * 4)).index == 7
+    assert classify(_unit_rotor(3, (0, HALF), octonion=True)).index == 13
 
 
 # -- rotor generation ---------------------------------------------------------------

@@ -204,6 +204,14 @@ def test_exhaustive_budget(h5):
         search_exhaustive(big)
 
 
+@pytest.mark.parametrize("max_k", [1, 0, -5])
+def test_search_rejects_max_k_below_two(h3, max_k):
+    with pytest.raises(ValueError, match="max_k must be at least 2"):
+        search_exhaustive(h3, max_k)
+    with pytest.raises(ValueError, match="max_k must be at least 2"):
+        search_sample(h3, 10, seed=1, max_k=max_k)
+
+
 def test_search_requires_prime_field():
     halg = QuatAlgebra(RationalField(), 1, 1)
     with pytest.raises(ValueError):
