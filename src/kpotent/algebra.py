@@ -1,16 +1,20 @@
 """Generalized quaternion algebras H(a,b) and octonion algebras O(a,b,c).
 
-Elements carry their algebra and a coordinate tuple over one of the exact
-coefficient fields.  Multiplication is the bilinear extension of the basis
-table stored as structure constants, so the same kernel drives both
-dimensions; each product coordinate is one unreduced dot product through
-the field's lazy-reduction kernel, reduced once.  A Cayley-Dickson doubling
-product is provided as an independent cross-check of the transcribed
-octonion table.
+Elements carry their algebra and their coordinates in the field's lifted
+form (see ``kpotent.fields``): a tuple of integers, or integer pairs over
+Q(sqrt d), over one canonical denominator ``den``.  Equality and hashing
+compare that storage; ``coords``, the coordinates as ``FieldElement``
+values, is a read-only view built from it.  Multiplication is the bilinear
+extension of the basis table stored as structure constants, so the same
+kernel drives both dimensions: the unreduced left map of x, read off the
+lifted table, is dotted with y row by row, and the product is reduced
+once.  A Cayley-Dickson doubling product is provided as an independent
+cross-check of the transcribed octonion table.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 
 from .fields import Field, FieldElement, ParseError
@@ -62,6 +66,28 @@ def _oct_table(a: FieldElement, b: FieldElement, c: FieldElement):
     )
 
 
+@lru_cache(maxsize=None)
+def _map_layout(targets):
+    """Gathers that lay out the left and right maps of x, flat row by row.
+
+    targets[i][j] is the k with f_i f_j = c_ij f_k.  The left map has
+    x_i c_ij at (k, j) and the right map x_j c_ij at (k, i); for each map
+    this returns one itemgetter of the x coordinates and one of the table
+    entries (flat index i*n + j) behind its n^2 positions.  It depends only
+    on the shape of the basis table, so it is built once per dimension.
+    """
+    n = len(targets)
+    left, right = [None] * (n * n), [None] * (n * n)
+    for i, row in enumerate(targets):
+        for j, k in enumerate(row):
+            left[k * n + j] = (i, i * n + j)
+            right[k * n + i] = (j, i * n + j)
+    return tuple(
+        (itemgetter(*[src for src, _ in plan]), itemgetter(*[entry for _, entry in plan]))
+        for plan in (left, right)
+    )
+
+
 class _TableAlgebra:
     """Shared machinery for the two quadratic algebras."""
 
@@ -70,37 +96,28 @@ class _TableAlgebra:
 
     def _finish_init(self, table):
         field = self.field
-        dim = self.dim
-        one = field.one.raw
-        minus_one = field._neg(one)
-        # (k, c_ij, unit) with f_i f_j = c_ij f_k; unit is 1 or -1 when c_ij
-        # is, else 0, so products by the sign need no multiplication
-        self._table_raw = tuple(
-            tuple(
-                (k, c.raw, 1 if c.raw == one else -1 if c.raw == minus_one else 0)
-                for (k, c) in row
-            )
-            for row in table
-        )
-        # coordinate k of x*y is the sum over j of x_i c_ij y_j, where i is
-        # the one row with f_i f_j = c_ij f_k; the c_ij are lifted once,
-        # over one shared denominator, and grouped by k
-        rows_of = [[None] * dim for _ in range(dim)]
-        for i, row in enumerate(self._table_raw):
-            for j, (k, _, _) in enumerate(row):
-                rows_of[k][j] = i
+        # (k, c_ij) with f_i f_j = c_ij f_k
+        self._table_raw = tuple(tuple((k, c.raw) for (k, c) in row) for row in table)
+        # with the c_ij lifted over one shared denominator, the left or right
+        # map of x is one gather of x's lifted coordinates times the c_ij laid
+        # out the same way: a plan (gather, coefficients)
         coeffs, self._coeff_den = field._lift(
-            [coeff for row in self._table_raw for _, coeff, _ in row]
+            [coeff for row in self._table_raw for _, coeff in row]
         )
-        self._mul_rows = tuple(
-            (itemgetter(*rows), tuple(coeffs[i * dim + j] for j, i in enumerate(rows)))
-            for rows in rows_of
+        targets = tuple(tuple(k for k, _ in row) for row in self._table_raw)
+        self._left_plan, self._right_plan = (
+            (gather, pick(coeffs)) for gather, pick in _map_layout(targets)
         )
         # norm form n(x) = sum w_i x_i^2: w_0 = 1, w_i = -c_ii for f_i f_i = c_ii
         diagonal = [row[i][1] for i, row in enumerate(self._table_raw)]
-        self._norm_raw = (one,) + tuple(field._neg(c) for c in diagonal[1:])
+        self._norm_raw = (field.one.raw,) + tuple(field._neg(c) for c in diagonal[1:])
+        self._norm_lifted, self._norm_den = field._lift(self._norm_raw)
         self.zero = self.element((0,) * self.dim)
         self.one = self.element((1,) + (0,) * (self.dim - 1))
+
+    def _from_lifted(self, vec, den):
+        """The element with lifted coordinates vec over den, reduced."""
+        return self._element_cls(self, *self.field._reduce(vec, den))
 
     @property
     def params(self):
@@ -113,7 +130,12 @@ class _TableAlgebra:
                 f"{type(self).__name__} elements have {self.dim} coordinates, "
                 f"got {len(coords)}"
             )
-        return self._element_cls(self, tuple(self.field.element(c) for c in coords))
+        field = self.field
+        coords = tuple([field.element(c) for c in coords])
+        # the lift of canonical values is canonical; the validated values
+        # are the coords view
+        ents, den = field._lift([c.raw for c in coords])
+        return self._element_cls(self, tuple(ents), den, coords)
 
     def basis_element(self, i: int):
         if not 0 <= i < self.dim:
@@ -210,13 +232,29 @@ class OctAlgebra(_TableAlgebra):
 
 
 class AlgebraElement:
-    """A coordinate vector over its algebra; immutable and hashable."""
+    """An element of its algebra; immutable and hashable.
 
-    __slots__ = ("algebra", "coords")
+    ``ents`` and ``den`` hold the coordinates in canonical lifted form;
+    ``coords`` is their view as FieldElements.
+    """
 
-    def __init__(self, algebra, coords):
+    __slots__ = ("algebra", "ents", "den", "_coords")
+
+    def __init__(self, algebra, ents, den, coords=None):
         self.algebra = algebra
-        self.coords = coords
+        self.ents = ents
+        self.den = den
+        self._coords = coords
+
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as FieldElements, built from the lifted storage
+        on first use and kept.  The storage never changes, so threads that
+        race here build and write equal tuples."""
+        coords = self._coords
+        if coords is None:
+            coords = self._coords = self.algebra.field._view(self.ents, self.den)
+        return coords
 
     def _check_same(self, other):
         if other.algebra is not self.algebra and other.algebra != self.algebra:
@@ -230,22 +268,22 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_same(other)
-        return type(self)(
-            self.algebra,
-            tuple(x + y for x, y in zip(self.coords, other.coords)),
+        field = self.algebra.field
+        return self.algebra._from_lifted(
+            *field._sum(self.ents, self.den, other.ents, other.den)
         )
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_same(other)
-        return type(self)(
-            self.algebra,
-            tuple(x - y for x, y in zip(self.coords, other.coords)),
+        field = self.algebra.field
+        return self.algebra._from_lifted(
+            *field._sum(self.ents, self.den, field._times(other.ents, -1), other.den)
         )
 
     def __neg__(self):
-        return type(self)(self.algebra, tuple(-x for x in self.coords))
+        return self.algebra._from_lifted(self.algebra.field._times(self.ents, -1), self.den)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -263,19 +301,22 @@ class AlgebraElement:
     def _table_mul(self, other):
         alg = self.algebra
         field = alg.field
-        lift, dot, scale, drop = field._lift, field._dot, field._scale, field._drop
-        xs, dx = lift([e.raw for e in self.coords])
-        ys, dy = lift([e.raw for e in other.coords])
-        den = dx * alg._coeff_den * dy
-        # row k of the left map of x, dotted with y, reduced once
-        return type(self)(alg, tuple([
-            FieldElement(field, drop(dot(scale(gather(xs), coeffs), ys), den))
-            for gather, coeffs in alg._mul_rows
-        ]))
+        dot = field._dot
+        gather, coeffs = alg._left_plan
+        n = alg.dim
+        # coordinate k of x*y is row k of the (unreduced) left map of x
+        # dotted with y; the whole product is reduced once
+        lx = field._scale(gather(self.ents), coeffs)
+        ys = other.ents
+        return alg._from_lifted(
+            [dot(lx[k:k + n], ys) for k in range(0, n * n, n)],
+            self.den * alg._coeff_den * other.den,
+        )
 
     def scale(self, factor):
-        lam = self.algebra.field.element(factor)
-        return type(self)(self.algebra, tuple(lam * x for x in self.coords))
+        field = self.algebra.field
+        (c,), cden = field._lift([field.element(factor).raw])
+        return self.algebra._from_lifted(field._times(self.ents, c), self.den * cden)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -297,21 +338,22 @@ class AlgebraElement:
 
     def conjugate(self):
         """Negate every coordinate but the scalar one."""
-        return type(self)(
-            self.algebra,
-            (self.coords[0],) + tuple(-x for x in self.coords[1:]),
+        field = self.algebra.field
+        return self.algebra._from_lifted(
+            [self.ents[0]] + field._times(self.ents[1:], -1), self.den
         )
 
     def trace(self) -> FieldElement:
-        return self.coords[0] + self.coords[0]
+        field = self.algebra.field
+        x0 = self.ents[0]
+        return FieldElement(field, field._drop(field._add(x0, x0), self.den))
 
     def norm(self) -> FieldElement:
-        field = self.algebra.field
-        fadd, fmul = field._add, field._mul
-        total = field.zero.raw
-        for w, x in zip(self.algebra._norm_raw, self.coords):
-            total = fadd(total, fmul(w, fmul(x.raw, x.raw)))
-        return FieldElement(field, total)
+        alg = self.algebra
+        field = alg.field
+        xs = self.ents
+        total = field._dot(field._scale(xs, xs), alg._norm_lifted)
+        return FieldElement(field, field._drop(total, self.den * self.den * alg._norm_den))
 
     def inverse(self):
         """conj(x)/n(x); raises ZeroDivisionError on norm-zero elements."""
@@ -325,15 +367,19 @@ class AlgebraElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(x.is_zero for x in self.coords)
+        return self.ents.count(self.algebra.field._nil) == len(self.ents)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.coords == other.coords
+        return (
+            self.den == other.den
+            and self.ents == other.ents
+            and (self.algebra is other.algebra or self.algebra == other.algebra)
+        )
 
     def __hash__(self):
-        return hash((self.algebra, self.coords))
+        return hash((self.algebra, self.den, self.ents))
 
     def __str__(self):
         return ",".join(str(x) for x in self.coords)
@@ -352,7 +398,10 @@ class Octonion(AlgebraElement):
     def split_pair(self):
         """The two quaternions of the doubled form x = x' + x'' f4."""
         h = self.algebra.quaternion_subalgebra()
-        return h.element(self.coords[:4]), h.element(self.coords[4:])
+        return (
+            h._from_lifted(self.ents[:4], self.den),
+            h._from_lifted(self.ents[4:], self.den),
+        )
 
 
 QuatAlgebra._element_cls = Quaternion
@@ -375,7 +424,8 @@ def cd_double_mul(x: Octonion, y: Octonion) -> Octonion:
     yp, ypp = y.split_pair()
     first = xp * yp + (ypp.conjugate() * xpp).scale(alg.c)
     second = ypp * xp + xpp * yp.conjugate()
-    return alg.element(first.coords + second.coords)
+    (u, v), den = alg.field._common((first.ents, first.den), (second.ents, second.den))
+    return alg._from_lifted([*u, *v], den)
 
 
 def quadratic_identity_holds(x: AlgebraElement) -> bool:

@@ -1,10 +1,10 @@
 """Command-line surface: verify elements, emit representation matrices,
 generate potent elements, run censuses, and print the identity report.
 
-Every run is deterministic given its flags (including --seed).  Errors are
-a single machine-parsable ``error: ...`` line on stderr with a nonzero exit
-code; ``--format json`` wraps each result in an ``{"ok": true, "result":
-...}`` envelope for scripting.
+Every run is deterministic given its flags (including --seed).  Errors,
+argparse's usage errors included, are a single machine-parsable
+``error: ...`` line on stderr with exit code 1; ``--format json`` wraps
+each result in an ``{"ok": true, "result": ...}`` envelope for scripting.
 """
 
 from __future__ import annotations
@@ -194,6 +194,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d")
+
+    def error(self, message):
+        # usage errors keep the one-line contract too (subparsers inherit it)
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 def build_parser() -> argparse.ArgumentParser:

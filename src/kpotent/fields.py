@@ -6,32 +6,45 @@ reduced fraction, reduced coordinate pair), so structural equality is field
 equality and elements can be hashed, shared between threads, and compared
 freely.  Nothing here ever touches floating point.
 
-Each field also carries a private lazy-reduction kernel for sums of
-products (matrix entries, algebra product coordinates):
+Each field also carries a private kernel for vectors of its values in
+lifted form: integers over one shared denominator.  Matrices and algebra
+elements are stored this way (see ``kpotent.represent`` and
+``kpotent.algebra``); ``FieldElement`` values appear only at the API edge.
 
 - ``_lift(raws) -> (vec, den)`` writes canonical values as integers over
   one shared denominator: residues unchanged with den 1 over F_p,
   numerators over the lcm of the denominators over Q, and integer
-  ``(r, s)`` pairs over the lcm of all 2n denominators over Q(sqrt d);
-- ``_dot(u, v)`` is the unreduced integer (or integer-pair) dot product
-  of two lifted vectors, over the product of their denominators, and
+  ``(r, s)`` pairs over the lcm of all 2n denominators over Q(sqrt d).
+- ``_reduce(vec, den) -> (tuple, den)`` brings a vector to the canonical
+  lifted form: over F_p one ``% p`` per entry with den 1; over Q and
+  Q(sqrt d) one ``gcd(den, *entries)`` and one exact division, since the
+  lcm over i of D/gcd(N_i, D) is D/gcd(D, N_1, ..., N_n).  In canonical
+  form den > 0, gcd(den, every integer) = 1, and den is 1 over F_p and
+  for integer data, so equal vectors have equal storage and ``==`` and
+  ``hash`` are tuple operations.  The lift of canonical values is
+  already canonical.
+- ``_dot(u, v)`` is the unreduced integer (or integer-pair) dot product of
+  two lifted vectors, over the product of their denominators;
   ``_scale(u, v)`` the unreduced entrywise products, over the same
-  denominator (the weights of a structure-constant product);
-- ``_drop(acc, den) -> raw`` makes the one exact reduction of an output
-  entry: a single ``% p``, one ``Fraction(acc, den)``, or two of them.
-  A zero comes back as the field's own zero value, so callers can share
-  the zero element.
+  denominator (the weights of a structure-constant product); and
+  ``_times(vec, c)`` every entry times one lifted scalar or int (negation,
+  scaling, rescaling to a common denominator, cross-multiplied
+  comparison).  ``_add`` adds lifted entries as well as raws.
+- ``_drop(acc, den) -> raw`` turns one lifted entry back into a canonical
+  value (a single ``% p``, one ``Fraction(acc, den)`` or two); it builds
+  the ``FieldElement`` views and nothing else.
 
-Nothing is reduced between the lift and the drop, and nothing is ever
-rounded: every output entry costs exactly one exact reduction, and it is
-the canonical value that reducing after every step would give.
+Nothing is reduced between the lift and the reduction, and nothing is ever
+rounded: a product costs one reduction of its whole output, and it is the
+canonical value that reducing after every step would give.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import chain
+from math import gcd, isqrt, lcm
 from operator import mul
 
 
@@ -269,6 +282,34 @@ class Field:
     def _init_constants(self):
         self._zero = FieldElement(self, self._canon(0))
         self._one = FieldElement(self, self._canon(1))
+        # the lifted zero and one entries: 0 and 1, or (0, 0) and (1, 0)
+        (self._nil, self._unit), _ = self._lift([self._zero.raw, self._one.raw])
+
+    # the kernel on integer entries (F_p, Q); Q(sqrt d) has its own for pairs
+
+    def _dot(self, u, v):
+        return sum(map(mul, u, v))
+
+    def _scale(self, u, v):
+        return list(map(mul, u, v))
+
+    def _times(self, vec, c):
+        return [x * c for x in vec]
+
+    def _view(self, ents, den) -> tuple:
+        """The entries of a lifted vector as FieldElements."""
+        drop = self._drop
+        return tuple([FieldElement(self, drop(e, den)) for e in ents])
+
+    def _common(self, *parts):
+        """Lifted (vec, den) parts rescaled to one denominator, their lcm."""
+        den = lcm(*[d for _, d in parts])
+        return [v if d == den else self._times(v, den // d) for v, d in parts], den
+
+    def _sum(self, u, du, v, dv):
+        """u/du + v/dv entrywise, unreduced, over lcm(du, dv)."""
+        (u, v), den = self._common((u, du), (v, dv))
+        return list(map(self._add, u, v)), den
 
 
 class PrimeField(Field):
@@ -307,11 +348,9 @@ class PrimeField(Field):
     def _lift(self, raws):
         return raws, 1
 
-    def _dot(self, u, v):
-        return sum(map(mul, u, v))
-
-    def _scale(self, u, v):
-        return map(mul, u, v)
+    def _reduce(self, vec, den):
+        p = self.p
+        return tuple([x % p for x in vec]), 1
 
     def _drop(self, acc, den):
         return acc % self.p
@@ -403,11 +442,11 @@ class RationalField(Field):
             return [x.numerator for x in raws], 1
         return [x.numerator * (den // x.denominator) for x in raws], den
 
-    def _dot(self, u, v):
-        return sum(map(mul, u, v))
-
-    def _scale(self, u, v):
-        return map(mul, u, v)
+    def _reduce(self, vec, den):
+        g = gcd(den, *vec)
+        if g == 1:
+            return tuple(vec), den
+        return tuple([x // g for x in vec]), den // g
 
     def _drop(self, acc, den):
         return Fraction(acc, den) if acc else self._zero.raw
@@ -507,6 +546,19 @@ class QuadraticField(Field):
         d = self.d
         return [(r * t + d * s * w, r * w + s * t) for (r, s), (t, w) in zip(u, v)]
 
+    def _times(self, vec, c):
+        if type(c) is int:
+            return [(r * c, s * c) for r, s in vec]
+        t, w = c
+        dw = self.d * w
+        return [(r * t + s * dw, r * w + s * t) for r, s in vec]
+
+    def _reduce(self, vec, den):
+        g = gcd(den, *chain.from_iterable(vec))
+        if g == 1:
+            return tuple(vec), den
+        return tuple([(r // g, s // g) for r, s in vec]), den // g
+
     def _drop(self, acc, den):
         zero = self._zero.raw
         if acc == (0, 0):
@@ -516,17 +568,29 @@ class QuadraticField(Field):
 
     def _sqrt(self, x):
         r, s = x
-        if s != 0:
-            raise NotASquareError(
-                f"square roots in {self} are only supported for rational "
-                f"and d-times-rational squares, got {self._format(x)}"
-            )
-        root = _rational_sqrt(r)
-        if root is not None:
-            return (root, Fraction(0))
-        root = _rational_sqrt(r / self.d)
-        if root is not None:
-            return (Fraction(0), root)
+        if s == 0:
+            root = _rational_sqrt(r)
+            if root is not None:
+                return (root, Fraction(0))
+            root = _rational_sqrt(r / self.d)
+            if root is not None:
+                return (Fraction(0), root)
+        else:
+            # (a + b sqrt d)^2 = r + s sqrt d needs a^2 + d b^2 = r and
+            # 2ab = s, so (a^2 - d b^2)^2 = r^2 - d s^2 = m^2 and
+            # a^2 = (r +- m)/2; the wrong sign gives a^2 = d b^2 with b != 0,
+            # never a rational square
+            m = _rational_sqrt(r * r - self.d * s * s)
+            if m is not None:
+                for a_sq in ((r + m) / 2, (r - m) / 2):
+                    a = _rational_sqrt(a_sq)
+                    if a:
+                        b = s / (2 * a)
+                        # of the two roots, return the one that is positive
+                        # for sqrt(d) > 0
+                        if b < 0 and a * a < self.d * b * b:
+                            a, b = -a, -b
+                        return (a, b)
         raise NotASquareError(f"{self._format(x)} is not a square in {self}")
 
     def _format(self, raw):

@@ -11,8 +11,12 @@ the classical fixed-sign form (valid for c = -1) and the parametric form
 that carries the doubling parameter; since the two tables are transcribed
 independently, the comparison stays a cross-check of both.
 
-Matrix products reduce each output entry once, through the field's
-lazy-reduction kernel (see ``kpotent.fields``).
+A matrix is stored in the field's lifted form (see ``kpotent.fields``): a
+flat row-major tuple of n^2 integers, or integer pairs over Q(sqrt d),
+over one canonical denominator ``den``, so equality is a tuple compare.
+Rows are slices of it and columns ``ents[j::n]``; every operation works on
+these integers and reduces its result once.  ``rows``, the entries as
+``FieldElement`` values, is a read-only view for the API edge.
 """
 
 from __future__ import annotations
@@ -24,49 +28,70 @@ from .algebra import AlgebraElement, Octonion, Quaternion
 from .fields import Field, FieldElement, ParseError
 
 
-class SquareMatrix:
-    """Dense n x n matrix of field elements, n in {4, 8}."""
+def _check_order(order: int) -> None:
+    if order not in (4, 8):
+        raise ValueError("matrices are square of order 4 or 8")
 
-    __slots__ = ("field", "order", "rows")
+
+class SquareMatrix:
+    """Dense n x n matrix over a field, n in {4, 8}, in lifted form."""
+
+    __slots__ = ("field", "order", "ents", "den")
 
     def __init__(self, field: Field, rows):
         rows = tuple(tuple(field.element(e) for e in row) for row in rows)
         order = len(rows)
-        if order not in (4, 8) or any(len(row) != order for row in rows):
+        _check_order(order)
+        if any(len(row) != order for row in rows):
             raise ValueError("matrices are square of order 4 or 8")
+        # the lift of canonical values is canonical
+        ents, den = field._lift([e.raw for row in rows for e in row])
         self.field = field
         self.order = order
-        self.rows = rows
+        self.ents = tuple(ents)
+        self.den = den
 
     @classmethod
-    def _of_elements(cls, field: Field, rows) -> "SquareMatrix":
-        # square tuples of elements of `field`: nothing is re-validated
+    def _from_lifted(cls, field: Field, order: int, vec, den) -> "SquareMatrix":
+        # a flat row-major lifted vector over den, reduced here
         m = object.__new__(cls)
         m.field = field
-        m.order = len(rows)
-        m.rows = rows
+        m.order = order
+        m.ents, m.den = field._reduce(vec, den)
         return m
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as FieldElements, row by row: a view built on each
+        access, for the API edge only."""
+        n = self.order
+        flat = self.field._view(self.ents, self.den)
+        return tuple(flat[i:i + n] for i in range(0, n * n, n))
 
     @classmethod
     def identity(cls, order: int, field: Field) -> "SquareMatrix":
-        one, zero = field.one, field.zero
-        return cls(field, tuple(
-            tuple(one if i == j else zero for j in range(order))
-            for i in range(order)
-        ))
+        _check_order(order)
+        one, nil = field._unit, field._nil
+        vec = [one if i == j else nil for i in range(order) for j in range(order)]
+        return cls._from_lifted(field, order, vec, 1)
 
     @classmethod
     def zeros(cls, order: int, field: Field) -> "SquareMatrix":
-        zero = field.zero
-        return cls(field, tuple(tuple(zero for _ in range(order)) for _ in range(order)))
+        _check_order(order)
+        return cls._from_lifted(field, order, [field._nil] * (order * order), 1)
 
     @classmethod
     def from_blocks(cls, tl, tr, bl, br) -> "SquareMatrix":
         if any(m.field != tl.field or m.order != 4 for m in (tl, tr, bl, br)):
             raise ValueError("blocks are 4x4 matrices over one field")
-        rows = [row_a + row_b for row_a, row_b in zip(tl.rows, tr.rows)]
-        rows += [row_a + row_b for row_a, row_b in zip(bl.rows, br.rows)]
-        return cls._of_elements(tl.field, tuple(rows))
+        field = tl.field
+        (a, b, c, d), den = field._common(*((m.ents, m.den) for m in (tl, tr, bl, br)))
+        vec = []
+        for left, right in ((a, b), (c, d)):
+            for i in range(0, 16, 4):
+                vec += left[i:i + 4]
+                vec += right[i:i + 4]
+        return cls._from_lifted(field, 8, vec, den)
 
     def _check_compatible(self, other):
         if other.field != self.field or other.order != self.order:
@@ -76,23 +101,24 @@ class SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check_compatible(other)
-        return SquareMatrix._of_elements(self.field, tuple(
-            tuple(x + y for x, y in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
+        field = self.field
+        return SquareMatrix._from_lifted(
+            field, self.order, *field._sum(self.ents, self.den, other.ents, other.den)
+        )
 
     def __sub__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check_compatible(other)
-        return SquareMatrix._of_elements(self.field, tuple(
-            tuple(x - y for x, y in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
+        field = self.field
+        return SquareMatrix._from_lifted(
+            field, self.order,
+            *field._sum(self.ents, self.den, field._times(other.ents, -1), other.den),
+        )
 
     def __neg__(self):
-        return SquareMatrix._of_elements(
-            self.field, tuple(tuple(-x for x in row) for row in self.rows)
+        return SquareMatrix._from_lifted(
+            self.field, self.order, self.field._times(self.ents, -1), self.den
         )
 
     def __mul__(self, other):
@@ -111,27 +137,23 @@ class SquareMatrix:
     __matmul__ = __mul__
 
     def _mat_mul(self, other):
-        # each row of self and column of other is lifted once; each entry is
-        # then one unreduced dot product and one reduction
+        # every entry is one unreduced dot product of a row slice and a
+        # column slice; the product is reduced once
         field = self.field
-        lift, dot, drop = field._lift, field._dot, field._drop
-        zero = field.zero
-        zero_raw = zero.raw
-        cols = [lift([e.raw for e in col]) for col in zip(*other.rows)]
-        out = []
-        for row, rden in (lift([e.raw for e in row]) for row in self.rows):
-            # drop gives back the field's own zero value for zero entries
-            entries = [drop(dot(row, col), rden * cden) for col, cden in cols]
-            out.append(tuple([
-                zero if v is zero_raw else FieldElement(field, v) for v in entries
-            ]))
-        return SquareMatrix._of_elements(field, tuple(out))
+        dot = field._dot
+        n = self.order
+        a, b = self.ents, other.ents
+        rows = [a[i:i + n] for i in range(0, n * n, n)]
+        cols = [b[j::n] for j in range(n)]
+        vec = [dot(row, col) for row in rows for col in cols]
+        return SquareMatrix._from_lifted(field, n, vec, self.den * other.den)
 
     def scale(self, factor):
-        lam = self.field.element(factor)
-        return SquareMatrix._of_elements(self.field, tuple(
-            tuple(lam * x for x in row) for row in self.rows
-        ))
+        field = self.field
+        (c,), cden = field._lift([field.element(factor).raw])
+        return SquareMatrix._from_lifted(
+            field, self.order, field._times(self.ents, c), self.den * cden
+        )
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -149,23 +171,26 @@ class SquareMatrix:
         return result
 
     def transpose(self) -> "SquareMatrix":
-        return SquareMatrix._of_elements(self.field, tuple(zip(*self.rows)))
+        n, ents = self.order, self.ents
+        vec = [e for j in range(n) for e in ents[j::n]]
+        return SquareMatrix._from_lifted(self.field, n, vec, self.den)
 
     @property
     def is_zero(self) -> bool:
-        return all(x.is_zero for row in self.rows for x in row)
+        return self.ents.count(self.field._nil) == len(self.ents)
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         return (
-            self.field == other.field
+            self.den == other.den
+            and self.ents == other.ents
             and self.order == other.order
-            and self.rows == other.rows
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.den, self.ents))
 
     # -- emitters: one row per CSV line, JSON as array-of-arrays ---------
 
@@ -218,25 +243,16 @@ class SquareMatrix:
 def _rep(x: AlgebraElement, left: bool) -> SquareMatrix:
     # wherever f_i f_j = c_ij f_k, y -> x y sends coordinate j to k with
     # weight x_i c_ij and y -> y x sends coordinate i to k with weight x_j c_ij;
-    # every entry is one such product, so nothing is summed.  Walking the
-    # table by rows (left) or columns (right) fixes the factor of x.
+    # every entry is one such product, so nothing is summed: the algebra's
+    # left or right plan gathers the x factors and their lifted c_ij.
     if not isinstance(x, (Quaternion, Octonion)):
         raise TypeError(f"no representation for {type(x).__name__}")
     alg = x.algebra
     field = alg.field
-    fmul, zero = field._mul, field.zero
-    rows = [[zero] * alg.dim for _ in range(alg.dim)]
-    lines = alg._table_raw if left else zip(*alg._table_raw)
-    for xe, line in zip(x.coords, lines):
-        if xe.is_zero:
-            continue
-        xv, neg = xe, -xe
-        for pos, (k, coeff, unit) in enumerate(line):
-            rows[k][pos] = (
-                xv if unit == 1 else neg if unit == -1
-                else FieldElement(field, fmul(xv.raw, coeff))
-            )
-    return SquareMatrix._of_elements(field, tuple(map(tuple, rows)))
+    gather, coeffs = alg._left_plan if left else alg._right_plan
+    return SquareMatrix._from_lifted(
+        field, alg.dim, field._scale(gather(x.ents), coeffs), x.den * alg._coeff_den
+    )
 
 
 def left_rep(x: AlgebraElement) -> SquareMatrix:
@@ -297,12 +313,13 @@ class BlockCheckReport:
 
 
 def _mismatches(m1: SquareMatrix, m2: SquareMatrix) -> tuple:
-    return tuple(
-        (i, j)
-        for i in range(m1.order)
-        for j in range(m1.order)
-        if m1.rows[i][j] != m2.rows[i][j]
-    )
+    # (i, j) where the entries differ: a/d1 != b/d2 exactly when
+    # a d2 != b d1, so cross-multiplied entries are compared as integers
+    if m1 == m2:
+        return ()
+    field = m1.field
+    u, v = field._times(m1.ents, m2.den), field._times(m2.ents, m1.den)
+    return tuple(divmod(k, m1.order) for k, (a, b) in enumerate(zip(u, v)) if a != b)
 
 
 def block_check(x: Octonion) -> BlockCheckReport:

@@ -256,7 +256,7 @@ def schoolbook_mul(x, y):
     acc = [field.zero] * alg.dim
     for i, xi in enumerate(x.coords):
         for j, yj in enumerate(y.coords):
-            k, coeff, _ = alg._table_raw[i][j]
+            k, coeff = alg._table_raw[i][j]
             acc[k] = acc[k] + xi * yj * field.element(coeff)
     return alg.element(acc)
 
@@ -265,8 +265,9 @@ def schoolbook_matmul(a, b):
     """The matrix product with every entry summed term by term."""
     n = a.order
     field = a.field
+    ra, rb = a.rows, b.rows
     return SquareMatrix(field, [
-        [sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), field.zero)
+        [sum((ra[i][k] * rb[k][j] for k in range(n)), field.zero)
          for j in range(n)]
         for i in range(n)
     ])
@@ -287,6 +288,23 @@ def is_canonical(field, raw):
         and gcd(v.numerator, v.denominator) == 1
         for v in parts
     )
+
+
+def is_canonical_lifted(field, ents, den):
+    """Lifted storage in canonical form: a tuple of ints (pairs of ints over
+    Q(sqrt d)) over den > 0 with gcd(den, every int) = 1; over F_p den is 1
+    and the entries are residues in [0, p)."""
+    if type(ents) is not tuple or type(den) is not int or den <= 0:
+        return False
+    if isinstance(field, PrimeField):
+        return den == 1 and all(type(e) is int and 0 <= e < field.p for e in ents)
+    if isinstance(field, QuadraticField):
+        if not all(type(e) is tuple and len(e) == 2 for e in ents):
+            return False
+        ints = [c for e in ents for c in e]
+    else:
+        ints = list(ents)
+    return all(type(c) is int for c in ints) and gcd(den, *ints) == 1
 
 
 def least_roots(p):

@@ -208,6 +208,16 @@ def test_generate_nilpotent(capsys):
     assert "kind: nilpotent" in out and "index: 2" in out
 
 
+def test_generate_rotor_quadratic_square_root(capsys):
+    # |direction|^2 = (3+2s)^2 and 1/(3+2s)^2 = (3-2s)^2, so the axis is f1
+    code, out, err = run(
+        capsys, "generate", "rotor", "--field", "q[sqrt2]", "--k", "5",
+        "--direction", "3+2s,0,0",
+    )
+    assert code == 0 and err == ""
+    assert out == "element: 0,1,0,0\nkind: k-potent\nindex: 5\n"
+
+
 def test_generate_unsupported_k(capsys):
     code, _, err = run(
         capsys, "generate", "rotor", "--k", "6", "--direction", "1,1,1",
@@ -333,3 +343,40 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code != 0
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_bad_int_is_one_error_line(capsys):
+    code, out, err = usage_error(
+        capsys, "verify", "--field", "f5", "--params", "-1,-1",
+        "--coords", "1,2,3,4", "--max-k", "x",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: argument --max-k: invalid int value: 'x'\n"
+
+
+def test_missing_field_is_one_error_line(capsys):
+    code, out, err = usage_error(
+        capsys, "verify", "--params", "-1,-1", "--coords", "1,2,3,4",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: the following arguments are required: --field\n"
+
+
+def test_unknown_subcommand_is_one_error_line(capsys):
+    code, out, err = usage_error(capsys, "frobnicate")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: argument command: invalid choice: 'frobnicate'")
+
+
+def test_help_is_unchanged(capsys):
+    code, out, err = usage_error(capsys, "verify", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: kpotent verify")

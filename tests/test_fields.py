@@ -136,6 +136,38 @@ def test_sqrt_quadratic(qsqrt2):
             qsqrt2.element(bad).sqrt()
 
 
+_GRID = tuple(Fraction(v) for v in ("0", "1", "-1", "2", "-3", "1/2", "-3/4", "5/3", "-7/2"))
+
+
+def _is_positive(a, b, d):
+    """a + b sqrt(d) > 0, decided exactly."""
+    if a >= 0 and b >= 0:
+        return a > 0 or b > 0
+    if a <= 0 and b <= 0:
+        return False
+    return (a * a > d * b * b) == (a > 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6])
+def test_sqrt_quadratic_of_squares(d):
+    # the root of (a + b s)^2 is whichever of +-(a + b s) is positive
+    field = QuadraticField(d)
+    for a in _GRID:
+        for b in _GRID:
+            x = field.element((a, b))
+            root = (x * x).sqrt()
+            assert root == (x if _is_positive(a, b, d) else -x), (a, b)
+            assert root.is_zero or _is_positive(*root.raw, d)
+
+
+def test_sqrt_quadratic_keeps_rational_part_roots(qsqrt2):
+    # s = 0: rational roots first, then d-times-rational ones, as before
+    assert qsqrt2.element(Fraction(9, 4)).sqrt().raw == (Fraction(3, 2), Fraction(0))
+    assert qsqrt2.element(Fraction(9, 2)).sqrt().raw == (Fraction(0), Fraction(3, 2))
+    assert qsqrt2.element((3, 2)).sqrt() == qsqrt2.element((1, 1))
+    assert qsqrt2.element((3, -2)).sqrt() == qsqrt2.element((-1, 1))
+
+
 # primes with p - 1 divisible by 2, 4, 8, 16, 256 and 2^16, so
 # Tonelli-Shanks runs from zero to sixteen folding rounds
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 193, 257, 769, 7681, 65537])

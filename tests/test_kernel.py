@@ -1,9 +1,11 @@
-"""Differential tests of the lazy-reduction kernel and the table-derived
-representation maps against the literal-definition oracles in helpers.
+"""Differential tests of the lifted storage, its kernel and the
+table-derived representation maps against the literal-definition oracles
+in helpers.
 
-Every product computed with one reduction per output entry must equal, entry
-for entry, the product reduced after every step, and every raw value must be
-canonical (structural equality depends on it).
+Every result computed on lifted integers and reduced once must equal, entry
+for entry, the result computed on FieldElements and reduced after every
+step; its storage must be in canonical lifted form and every raw value of
+its views canonical (structural equality and hashing depend on both).
 """
 
 from fractions import Fraction
@@ -14,17 +16,22 @@ from hypothesis import strategies as st
 
 from kpotent import (
     OctAlgebra,
+    Octonion,
     PrimeField,
     QuadraticField,
     QuatAlgebra,
     RationalField,
     SquareMatrix,
+    cd_double_mul,
+    discrepancy_report,
     left_rep,
     right_rep,
 )
+from kpotent.represent import _mismatches
 
 from helpers import (
     is_canonical,
+    is_canonical_lifted,
     schoolbook_matmul,
     schoolbook_mul,
     transcribed_left_rep,
@@ -83,10 +90,14 @@ def matrix_pairs(draw):
 
 
 def assert_canonical_matrix(m):
+    assert is_canonical_lifted(m.field, m.ents, m.den)
+    assert len(m.ents) == m.order * m.order
     assert all(is_canonical(m.field, e.raw) for row in m.rows for e in row)
 
 
 def assert_canonical_element(x):
+    assert is_canonical_lifted(x.algebra.field, x.ents, x.den)
+    assert len(x.ents) == x.algebra.dim
     assert all(is_canonical(x.algebra.field, e.raw) for e in x.coords)
 
 
@@ -173,3 +184,154 @@ def test_kernel_contract(field):
     assert [field._drop(e, du * dv) for e in entrywise] == [
         field._mul(a, b) for a, b in zip(u, v)
     ]
+    # reduce brings a vector over its denominator to canonical lifted form
+    ents, den = field._reduce(field._times(lu, 6), du)
+    assert is_canonical_lifted(field, ents, den)
+    assert (ents, den) == field._reduce(*field._lift([field._mul(a, field._canon(6)) for a in u]))
+    assert [field._drop(e, den) for e in ents] == [field._mul(a, field._canon(6)) for a in u]
+
+
+# -- every operation on the lifted storage ------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(xyl=algebra_elements(n=2), data=st.data())
+def test_element_operations_are_canonical(xyl, data):
+    x, y = xyl
+    field = x.algebra.field
+    lam = data.draw(scalars(field))
+    cx, cy = x.coords, y.coords
+    expected = (
+        (x * y, schoolbook_mul(x, y).coords),
+        (x + y, tuple(a + b for a, b in zip(cx, cy))),
+        (x - y, tuple(a - b for a, b in zip(cx, cy))),
+        (-x, tuple(-a for a in cx)),
+        (x.scale(lam), tuple(lam * a for a in cx)),
+        (x * lam, tuple(lam * a for a in cx)),
+        (x.conjugate(), cx[:1] + tuple(-a for a in cx[1:])),
+    )
+    for got, want in expected:
+        assert got.coords == want
+        assert_canonical_element(got)
+    if isinstance(x, Octonion):
+        for half, want in zip(x.split_pair(), (cx[:4], cx[4:])):
+            assert half.coords == want
+            assert_canonical_element(half)
+        doubled = cd_double_mul(x, y)
+        assert doubled.coords == schoolbook_mul(x, y).coords
+        assert_canonical_element(doubled)
+    for rep, oracle in ((left_rep, transcribed_left_rep), (right_rep, transcribed_right_rep)):
+        m = rep(x)
+        assert m.rows == oracle(x).rows
+        assert_canonical_matrix(m)
+
+
+@st.composite
+def matrix_quads(draw):
+    field = draw(st.sampled_from(FIELDS))
+    entries = st.lists(st.lists(scalars(field), min_size=4, max_size=4),
+                       min_size=4, max_size=4)
+    return tuple(SquareMatrix(field, draw(entries)) for _ in range(4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=matrix_quads(), data=st.data())
+def test_matrix_operations_are_canonical(blocks, data):
+    a, b, _, _ = blocks
+    lam = data.draw(scalars(a.field))
+    ra, rb = a.rows, b.rows
+
+    def entrywise(op, *ms):
+        return tuple(tuple(map(op, *rows)) for rows in zip(*(m.rows for m in ms)))
+
+    expected = (
+        (a * b, schoolbook_matmul(a, b).rows),
+        (a @ b, schoolbook_matmul(a, b).rows),
+        (a + b, entrywise(lambda u, v: u + v, a, b)),
+        (a - b, entrywise(lambda u, v: u - v, a, b)),
+        (-a, entrywise(lambda u: -u, a)),
+        (a.scale(lam), entrywise(lambda u: lam * u, a)),
+        (a.transpose(), tuple(zip(*ra))),
+        (SquareMatrix.from_blocks(*blocks), tuple(
+            l + r for top, bottom in ((0, 1), (2, 3))
+            for l, r in zip(blocks[top].rows, blocks[bottom].rows)
+        )),
+    )
+    for got, want in expected:
+        assert got.rows == want
+        assert_canonical_matrix(got)
+    assert (a == b) == (ra == rb)
+
+
+def _routes(field):
+    """Pairs of equal values built by different routes: parsed or computed."""
+    alg = QuatAlgebra(field, -1, -1) if isinstance(field, PrimeField) else QuatAlgebra(
+        field, Fraction(3, 4), Fraction(-5, 6))
+    x = alg.element([field.element(2), 0, 3, 1]).scale(alg.a)
+    y = alg.element([1, field.element(5), 0, 7])
+    xy = x * y
+    yield xy, alg.parse_element(str(xy))
+    yield x + x, x.scale(2)
+    yield x - x, alg.zero
+    yield (x * y) * x, x * (y * x)
+    lx = left_rep(x)
+    yield SquareMatrix.from_csv(field, lx.to_csv()), lx
+    yield left_rep(xy), lx * left_rep(y)
+    yield right_rep(xy), right_rep(y) * right_rep(x)
+    yield lx.transpose().transpose(), lx
+    yield lx - lx, SquareMatrix.zeros(4, field)
+    yield lx ** 0, SquareMatrix.identity(4, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_equal_values_by_different_routes(field):
+    for u, v in _routes(field):
+        assert u == v and hash(u) == hash(v)
+        assert (u.ents, u.den) == (v.ents, v.den)
+    # halving keeps the integers of integer data and doubles den over Q
+    half = field.one / field.element(2)
+    one = SquareMatrix.identity(8, field)
+    assert one.scale(half) != one and one.scale(half) + one.scale(half) == one
+    x = QuatAlgebra(field, -1, -1).element([1, 0, 3, 1])
+    assert x.scale(half) != x and x.scale(half) + x.scale(half) == x
+
+
+@st.composite
+def overlapping_matrices(draw):
+    # the second matrix shares a random subset of the first one's entries
+    field = draw(st.sampled_from(FIELDS))
+    order = draw(st.sampled_from((4, 8)))
+    first = draw(st.lists(scalars(field), min_size=order * order, max_size=order * order))
+    changed = st.one_of(st.none(), scalars(field))   # None keeps the entry
+    other = draw(st.lists(changed, min_size=order * order, max_size=order * order))
+    second = [u if v is None else v for u, v in zip(first, other)]
+    scale = draw(nonzero_scalars(field))
+    m1 = SquareMatrix(field, [first[i:i + order] for i in range(0, order * order, order)])
+    m2 = SquareMatrix(field, [second[i:i + order] for i in range(0, order * order, order)])
+    return m1.scale(scale), m2.scale(scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=overlapping_matrices())
+def test_mismatches_agree_with_entrywise_comparison(pair):
+    m1, m2 = pair
+    r1, r2 = m1.rows, m2.rows
+    n = m1.order
+    want = tuple((i, j) for i in range(n) for j in range(n) if r1[i][j] != r2[i][j])
+    assert _mismatches(m1, m2) == want
+    assert _mismatches(m2, m1) == want
+    assert _mismatches(m1, m1) == ()
+
+
+def test_report_builds_no_row_views(monkeypatch):
+    # the report's hot paths must stay on the lifted storage
+    built = []
+    view = SquareMatrix.rows
+
+    def counted(m):
+        built.append(m.order)
+        return view.fget(m)
+
+    monkeypatch.setattr(SquareMatrix, "rows", property(counted))
+    assert len(discrepancy_report()["findings"]) == 85
+    assert built == []
