@@ -195,9 +195,9 @@ def test_kernel_contract(field):
 
 
 @settings(max_examples=150, deadline=None)
-@given(xyl=algebra_elements(n=2), data=st.data())
-def test_element_operations_are_canonical(xyl, data):
-    x, y = xyl
+@given(xy=algebra_elements(n=2), data=st.data())
+def test_element_operations_are_canonical(xy, data):
+    x, y = xy
     field = x.algebra.field
     lam = data.draw(scalars(field))
     cx, cy = x.coords, y.coords
@@ -253,8 +253,8 @@ def test_matrix_operations_are_canonical(blocks, data):
         (a.scale(lam), entrywise(lambda u: lam * u, a)),
         (a.transpose(), tuple(zip(*ra))),
         (SquareMatrix.from_blocks(*blocks), tuple(
-            l + r for top, bottom in ((0, 1), (2, 3))
-            for l, r in zip(blocks[top].rows, blocks[bottom].rows)
+            l + r for left, right in ((0, 1), (2, 3))
+            for l, r in zip(blocks[left].rows, blocks[right].rows)
         )),
     )
     for got, want in expected:
