@@ -1,10 +1,10 @@
 """Generalized quaternion algebras H(a,b) and octonion algebras O(a,b,c).
 
 Elements carry their algebra and their coordinates in the field's lifted
-form (see ``kpotent.fields``): a tuple of integers, or integer pairs over
-Q(sqrt d), over one canonical denominator ``den``.  Equality and hashing
-compare that storage; ``coords``, the coordinates as ``FieldElement``
-values, is a read-only view built from it.  Multiplication is the bilinear
+form; ``kpotent.fields`` describes the format and, in ``Lifted``, the
+operations that need only the format (sums, scaling, equality, hashing).
+``coords``, the coordinates as ``FieldElement`` values, is a read-only
+view built from that storage.  Multiplication is the bilinear
 extension of the basis table stored as structure constants, so the same
 kernel drives both dimensions: the unreduced left map of x, read off the
 lifted table, is dotted with y row by row, and the product is reduced
@@ -15,9 +15,9 @@ cross-check of the transcribed octonion table.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 
-from .fields import Field, FieldElement, ParseError
+from .fields import Field, FieldElement, Lifted, ParseError, _power
 
 
 class AlgebraMismatchError(ValueError):
@@ -231,20 +231,24 @@ class OctAlgebra(_TableAlgebra):
     __repr__ = __str__
 
 
-class AlgebraElement:
+class AlgebraElement(Lifted):
     """An element of its algebra; immutable and hashable.
 
     ``ents`` and ``den`` hold the coordinates in canonical lifted form;
     ``coords`` is their view as FieldElements.
     """
 
-    __slots__ = ("algebra", "ents", "den", "_coords")
+    __slots__ = ("algebra", "_coords")
 
     def __init__(self, algebra, ents, den, coords=None):
         self.algebra = algebra
         self.ents = ents
         self.den = den
         self._coords = coords
+
+    @property
+    def field(self) -> Field:
+        return self.algebra.field
 
     @property
     def coords(self) -> tuple:
@@ -256,6 +260,12 @@ class AlgebraElement:
             coords = self._coords = self.algebra.field._view(self.ents, self.den)
         return coords
 
+    def _like(self, vec, den):
+        return self.algebra._from_lifted(vec, den)
+
+    def _space(self):
+        return self.algebra
+
     def _check_same(self, other):
         if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraMismatchError(
@@ -264,36 +274,10 @@ class AlgebraElement:
 
     # -- ring operations -----------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check_same(other)
-        field = self.algebra.field
-        return self.algebra._from_lifted(
-            *field._sum(self.ents, self.den, other.ents, other.den)
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check_same(other)
-        field = self.algebra.field
-        return self.algebra._from_lifted(
-            *field._sum(self.ents, self.den, field._times(other.ents, -1), other.den)
-        )
-
-    def __neg__(self):
-        return self.algebra._from_lifted(self.algebra.field._times(self.ents, -1), self.den)
-
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_same(other)
             return self._table_mul(other)
-        if isinstance(other, (FieldElement, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
         if isinstance(other, (FieldElement, int)):
             return self.scale(other)
         return NotImplemented
@@ -313,26 +297,14 @@ class AlgebraElement:
             self.den * alg._coeff_den * other.den,
         )
 
-    def scale(self, factor):
-        field = self.algebra.field
-        (c,), cden = field._lift([field.element(factor).raw])
-        return self.algebra._from_lifted(field._times(self.ents, c), self.den * cden)
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError("negative powers are not defined here; use inverse()")
-        # square-and-multiply; valid in octonions too, which are alternative
-        # and hence power-associative (Artin's theorem)
-        out, base = self.algebra.one, self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        # square-and-multiply is valid in octonions too, which are
+        # alternative and hence power-associative (Artin's theorem)
+        return _power(self.algebra.one, self, n, mul)
 
     # -- the quadratic-algebra structure ---------------------------------
 
@@ -365,22 +337,6 @@ class AlgebraElement:
 
     # -- plumbing ---------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return self.ents.count(self.algebra.field._nil) == len(self.ents)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return (
-            self.den == other.den
-            and self.ents == other.ents
-            and (self.algebra is other.algebra or self.algebra == other.algebra)
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.den, self.ents))
-
     def __str__(self):
         return ",".join(str(x) for x in self.coords)
 
@@ -404,6 +360,7 @@ class Octonion(AlgebraElement):
         )
 
 
+AlgebraElement._kind = AlgebraElement
 QuatAlgebra._element_cls = Quaternion
 OctAlgebra._element_cls = Octonion
 

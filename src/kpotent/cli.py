@@ -115,6 +115,10 @@ def _cmd_rep(args) -> int:
 def _cmd_generate(args) -> int:
     field = parse_field(args.field)
     if args.kind == "rotor":
+        if args.algebra != "quat":
+            raise ParseError(
+                f"rotor generation applies to quat algebras, got --algebra {args.algebra}"
+            )
         params = [field.parse(tok) for tok in args.params.split(",")]
         if len(params) != 2:
             raise ParseError("rotor generation takes two parameters a,b")

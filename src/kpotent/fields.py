@@ -7,9 +7,9 @@ equality and elements can be hashed, shared between threads, and compared
 freely.  Nothing here ever touches floating point.
 
 Each field also carries a private kernel for vectors of its values in
-lifted form: integers over one shared denominator.  Matrices and algebra
-elements are stored this way (see ``kpotent.represent`` and
-``kpotent.algebra``); ``FieldElement`` values appear only at the API edge.
+lifted form: integers over one shared denominator.  Algebra elements and
+matrices are stored this way, as subclasses of ``Lifted`` (see below);
+``FieldElement`` values appear only at the API edge.
 
 - ``_lift(raws) -> (vec, den)`` writes canonical values as integers over
   one shared denominator: residues unchanged with den 1 over F_p,
@@ -33,6 +33,12 @@ elements are stored this way (see ``kpotent.represent`` and
 - ``_drop(acc, den) -> raw`` turns one lifted entry back into a canonical
   value (a single ``% p``, one ``Fraction(acc, den)`` or two); it builds
   the ``FieldElement`` views and nothing else.
+
+``Lifted`` holds one such vector, ``ents`` over ``den``, and implements
+everything that needs only the format: ``+``, ``-``, negation, scaling,
+``is_zero``, ``==``, ``hash`` and the list of differing entries.  Its
+subclasses (``AlgebraElement``, ``SquareMatrix``) add their own product
+and shape.
 
 Nothing is reduced between the lift and the reduction, and nothing is ever
 rounded: a product costs one reduction of its whole output, and it is the
@@ -61,7 +67,6 @@ class ParseError(ValueError):
 
 
 MAX_PRIME = 1 << 64          # residues must fit a 64-bit word
-SQRT_LIMIT = 1 << 20    # largest p for which square roots are offered
 MAX_QUAD_D = 10 ** 12        # keeps the squarefree scan cheap
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
@@ -127,6 +132,22 @@ def _rational_sqrt(x: Fraction):
     return None
 
 
+def _power(one, base, n: int, mul):
+    """base**n for n >= 0 by square-and-multiply: one squaring per bit of n.
+
+    Scalars pass their field's raw product; algebra elements and matrices
+    pass ``operator.mul``, so each product goes through their ``__mul__``.
+    """
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
+
+
 class FieldElement:
     """A scalar of one particular field, in canonical form."""
 
@@ -184,18 +205,9 @@ class FieldElement:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        fmul = self.field._mul
+        field = self.field
         base = (self if n >= 0 else self.inv()).raw
-        out = self.field.one.raw
-        n = abs(n)
-        # square-and-multiply: one squaring per bit of n
-        while n:
-            if n & 1:
-                out = fmul(out, base)
-            n >>= 1
-            if n:
-                base = fmul(base, base)
-        return FieldElement(self.field, out)
+        return FieldElement(field, _power(field.one.raw, base, abs(n), field._mul))
 
     def inv(self) -> "FieldElement":
         return FieldElement(self.field, self.field._inv(self.raw))
@@ -238,6 +250,71 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self.field}({self})"
+
+
+class Lifted:
+    """A vector of field values in canonical lifted form: ``ents`` over the
+    denominator ``den`` (see the module docstring).  Immutable and hashable.
+
+    A subclass supplies ``field``; ``_kind``, the class whose instances may
+    be combined with it; ``_like(vec, den)``, the value of its own kind and
+    shape holding vec over den, reduced; ``_check_same(other)``, which
+    raises its own error when other lives in a different algebra, field or
+    shape; and ``_space()``, what two equal values must share.
+    """
+
+    __slots__ = ("ents", "den")
+
+    def __add__(self, other):
+        if not isinstance(other, self._kind):
+            return NotImplemented
+        self._check_same(other)
+        return self._like(*self.field._sum(self.ents, self.den, other.ents, other.den))
+
+    def __sub__(self, other):
+        if not isinstance(other, self._kind):
+            return NotImplemented
+        self._check_same(other)
+        field = self.field
+        return self._like(
+            *field._sum(self.ents, self.den, field._times(other.ents, -1), other.den)
+        )
+
+    def __neg__(self):
+        return self._like(self.field._times(self.ents, -1), self.den)
+
+    def __rmul__(self, other):
+        if isinstance(other, (FieldElement, int)):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, factor):
+        field = self.field
+        (c,), cden = field._lift([field.element(factor).raw])
+        return self._like(field._times(self.ents, c), self.den * cden)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.ents.count(self.field._nil) == len(self.ents)
+
+    def __eq__(self, other):
+        if not isinstance(other, self._kind):
+            return NotImplemented
+        if self.den != other.den or self.ents != other.ents:
+            return False
+        space, other_space = self._space(), other._space()
+        return space is other_space or space == other_space
+
+    def __hash__(self):
+        return hash((self._space(), self.den, self.ents))
+
+    def _differing(self, other) -> list:
+        """The indices of the entries in which self and other differ: a/d1
+        and b/d2 differ exactly when a*d2 != b*d1, so the cross-multiplied
+        entries are compared as integers."""
+        field = self.field
+        u, v = field._times(self.ents, other.den), field._times(other.ents, self.den)
+        return [k for k, (a, b) in enumerate(zip(u, v)) if a != b]
 
 
 class Field:
@@ -356,10 +433,6 @@ class PrimeField(Field):
         return acc % self.p
 
     def _sqrt(self, x):
-        if self.p >= SQRT_LIMIT:
-            raise ValueError(
-                f"square roots in {self} need p < 2**20, got p={self.p}"
-            )
         p = self.p
         if x == 0:
             return 0

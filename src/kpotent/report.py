@@ -14,6 +14,7 @@ import io
 import json
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import OctAlgebra, QuatAlgebra, cd_double_mul
 from .fields import parse_field
@@ -60,53 +61,49 @@ class Finding:
         }
 
 
+_KINDS = {
+    "quat": ("H", QuatAlgebra, _QUAT_REGIMES),
+    "oct": ("O", OctAlgebra, _OCT_REGIMES),
+}
+
+
 def _algebras(kind):
-    if kind == "quat":
-        for field_str, params in _QUAT_REGIMES:
-            field = parse_field(field_str)
-            label = f"H({','.join(params)})/{field_str}"
-            yield label, QuatAlgebra(field, *(field.parse(t) for t in params))
-    else:
-        for field_str, params in _OCT_REGIMES:
-            field = parse_field(field_str)
-            label = f"O({','.join(params)})/{field_str}"
-            yield label, OctAlgebra(field, *(field.parse(t) for t in params))
+    letter, algebra_cls, regimes = _KINDS[kind]
+    for field_str, params in regimes:
+        field = parse_field(field_str)
+        label = f"{letter}({','.join(params)})/{field_str}"
+        yield label, algebra_cls(field, *(field.parse(t) for t in params))
 
 
-def _pairs(algebra, evidence: str, seed: int):
+def _cases(algebra, arity: int, evidence: str, seed: int):
+    """The tuples of `arity` elements a law is checked on: every tuple of
+    basis elements, then a fixed seeded sample of random tuples."""
     if evidence in ("basis", "both"):
-        basis = algebra.basis()
-        for x in basis:
-            for y in basis:
-                yield x, y
+        yield from product(algebra.basis(), repeat=arity)
     if evidence in ("random", "both"):
         rng = random.Random(seed)
         for _ in range(_RANDOM_PAIRS):
-            yield algebra.random_element(rng), algebra.random_element(rng)
+            yield tuple(algebra.random_element(rng) for _ in range(arity))
 
 
-def _singles(algebra, evidence: str, seed: int):
-    if evidence in ("basis", "both"):
-        yield from algebra.basis()
-    if evidence in ("random", "both"):
-        rng = random.Random(seed)
-        for _ in range(_RANDOM_PAIRS):
-            yield algebra.random_element(rng)
+def _counterexample(case) -> str:
+    return "counterexample " + " ".join(f"{name}={v}" for name, v in zip("xy", case))
 
 
-def _pair_law(check, algebra, evidence, seed):
-    """Verdict plus first counterexample (as element literals) for a pair law."""
-    for x, y in _pairs(algebra, evidence, seed):
-        if not check(x, y):
-            return "fails", f"counterexample x={x} y={y}"
+def _law(check, arity, algebra, evidence, seed):
+    """Verdict plus first counterexample (as element literals) for a law of
+    `arity` elements."""
+    for case in _cases(algebra, arity, evidence, seed):
+        if not check(*case):
+            return "fails", _counterexample(case)
     return "holds", ""
 
 
-def _single_law(check, algebra, evidence, seed):
-    for x in _singles(algebra, evidence, seed):
-        if not check(x):
-            return "fails", f"counterexample x={x}"
-    return "holds", ""
+def _law_findings(kind, arity, checks, evidence):
+    for ident, check in checks:
+        for regime, alg in _algebras(kind):
+            seed = _seed_stable(ident, regime)
+            yield Finding(ident, regime, *_law(check, arity, alg, evidence, seed))
 
 
 def _seed_stable(ident: str, regime: str) -> int:
@@ -175,11 +172,11 @@ def _block_form_findings(evidence: str):
     for regime, alg in _algebras("oct"):
         seed = _seed_stable("oct-block-forms", regime)
         outcomes = {ident: ("holds", "") for ident, _ in _BLOCK_FORM_IDENTS}
-        for x in _singles(alg, evidence, seed):
-            checked = block_check(x)
+        for case in _cases(alg, 1, evidence, seed):
+            checked = block_check(*case)
             for ident, attr in _BLOCK_FORM_IDENTS:
                 if outcomes[ident][0] == "holds" and not getattr(checked, attr):
-                    outcomes[ident] = ("fails", f"counterexample x={x}")
+                    outcomes[ident] = ("fails", _counterexample(case))
         for ident, _ in _BLOCK_FORM_IDENTS:
             verdict, detail = outcomes[ident]
             yield Finding(ident, regime, verdict, detail)
@@ -235,25 +232,14 @@ def discrepancy_report(evidence: str = "both") -> dict:
     """
     if evidence not in ("basis", "random", "both"):
         raise ValueError(f"unknown evidence route {evidence!r}")
-    findings = []
-    for ident, check in _PAIR_CHECKS_QUAT:
-        for regime, alg in _algebras("quat"):
-            verdict, detail = _pair_law(check, alg, evidence, _seed_stable(ident, regime))
-            findings.append(Finding(ident, regime, verdict, detail))
-    for ident, check in _SINGLE_CHECKS_QUAT:
-        for regime, alg in _algebras("quat"):
-            verdict, detail = _single_law(check, alg, evidence, _seed_stable(ident, regime))
-            findings.append(Finding(ident, regime, verdict, detail))
-    for ident, check in _SINGLE_CHECKS_OCT:
-        for regime, alg in _algebras("oct"):
-            verdict, detail = _single_law(check, alg, evidence, _seed_stable(ident, regime))
-            findings.append(Finding(ident, regime, verdict, detail))
-    findings.extend(_block_form_findings(evidence))
-    for ident, check in _PAIR_CHECKS_OCT:
-        for regime, alg in _algebras("oct"):
-            verdict, detail = _pair_law(check, alg, evidence, _seed_stable(ident, regime))
-            findings.append(Finding(ident, regime, verdict, detail))
-    findings.extend(_erratum_findings())
+    findings = [
+        *_law_findings("quat", 2, _PAIR_CHECKS_QUAT, evidence),
+        *_law_findings("quat", 1, _SINGLE_CHECKS_QUAT, evidence),
+        *_law_findings("oct", 1, _SINGLE_CHECKS_OCT, evidence),
+        *_block_form_findings(evidence),
+        *_law_findings("oct", 2, _PAIR_CHECKS_OCT, evidence),
+        *_erratum_findings(),
+    ]
     return {
         "version": REPORT_VERSION,
         "findings": [f.as_dict() for f in findings],

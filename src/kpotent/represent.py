@@ -11,21 +11,23 @@ the classical fixed-sign form (valid for c = -1) and the parametric form
 that carries the doubling parameter; since the two tables are transcribed
 independently, the comparison stays a cross-check of both.
 
-A matrix is stored in the field's lifted form (see ``kpotent.fields``): a
-flat row-major tuple of n^2 integers, or integer pairs over Q(sqrt d),
-over one canonical denominator ``den``, so equality is a tuple compare.
-Rows are slices of it and columns ``ents[j::n]``; every operation works on
-these integers and reduces its result once.  ``rows``, the entries as
-``FieldElement`` values, is a read-only view for the API edge.
+A matrix is stored in the field's lifted form, as a flat row-major vector
+of n^2 entries; ``kpotent.fields`` describes the format and, in
+``Lifted``, the operations that need only the format (sums, scaling,
+equality, hashing, differing entries).  Rows are slices of the vector and
+columns ``ents[j::n]``; every operation works on these integers and reduces
+its result once.  ``rows``, the entries as ``FieldElement`` values, is a
+read-only view for the API edge.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import mul
 
 from .algebra import AlgebraElement, Octonion, Quaternion
-from .fields import Field, FieldElement, ParseError
+from .fields import Field, FieldElement, Lifted, ParseError, _power
 
 
 def _check_order(order: int) -> None:
@@ -33,10 +35,10 @@ def _check_order(order: int) -> None:
         raise ValueError("matrices are square of order 4 or 8")
 
 
-class SquareMatrix:
+class SquareMatrix(Lifted):
     """Dense n x n matrix over a field, n in {4, 8}, in lifted form."""
 
-    __slots__ = ("field", "order", "ents", "den")
+    __slots__ = ("field", "order")
 
     def __init__(self, field: Field, rows):
         rows = tuple(tuple(field.element(e) for e in row) for row in rows)
@@ -93,43 +95,20 @@ class SquareMatrix:
                 vec += right[i:i + 4]
         return cls._from_lifted(field, 8, vec, den)
 
-    def _check_compatible(self, other):
+    def _like(self, vec, den):
+        return SquareMatrix._from_lifted(self.field, self.order, vec, den)
+
+    def _space(self):
+        return (self.field, self.order)
+
+    def _check_same(self, other):
         if other.field != self.field or other.order != self.order:
             raise ValueError("matrix operands must share order and field")
 
-    def __add__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        self._check_compatible(other)
-        field = self.field
-        return SquareMatrix._from_lifted(
-            field, self.order, *field._sum(self.ents, self.den, other.ents, other.den)
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        self._check_compatible(other)
-        field = self.field
-        return SquareMatrix._from_lifted(
-            field, self.order,
-            *field._sum(self.ents, self.den, field._times(other.ents, -1), other.den),
-        )
-
-    def __neg__(self):
-        return SquareMatrix._from_lifted(
-            self.field, self.order, self.field._times(self.ents, -1), self.den
-        )
-
     def __mul__(self, other):
         if isinstance(other, SquareMatrix):
-            self._check_compatible(other)
+            self._check_same(other)
             return self._mat_mul(other)
-        if isinstance(other, (FieldElement, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
         if isinstance(other, (FieldElement, int)):
             return self.scale(other)
         return NotImplemented
@@ -148,49 +127,17 @@ class SquareMatrix:
         vec = [dot(row, col) for row in rows for col in cols]
         return SquareMatrix._from_lifted(field, n, vec, self.den * other.den)
 
-    def scale(self, factor):
-        field = self.field
-        (c,), cden = field._lift([field.element(factor).raw])
-        return SquareMatrix._from_lifted(
-            field, self.order, field._times(self.ents, c), self.den * cden
-        )
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError("negative matrix powers are not supported")
-        result = SquareMatrix.identity(self.order, self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(SquareMatrix.identity(self.order, self.field), self, n, mul)
 
     def transpose(self) -> "SquareMatrix":
         n, ents = self.order, self.ents
         vec = [e for j in range(n) for e in ents[j::n]]
         return SquareMatrix._from_lifted(self.field, n, vec, self.den)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.ents.count(self.field._nil) == len(self.ents)
-
-    def __eq__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return (
-            self.den == other.den
-            and self.ents == other.ents
-            and self.order == other.order
-            and (self.field is other.field or self.field == other.field)
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.den, self.ents))
 
     # -- emitters: one row per CSV line, JSON as array-of-arrays ---------
 
@@ -238,6 +185,9 @@ class SquareMatrix:
 
     def __repr__(self):
         return f"<{self.order}x{self.order} over {self.field}>\n{self.to_csv()}"
+
+
+SquareMatrix._kind = SquareMatrix
 
 
 def _rep(x: AlgebraElement, left: bool) -> SquareMatrix:
@@ -313,13 +263,10 @@ class BlockCheckReport:
 
 
 def _mismatches(m1: SquareMatrix, m2: SquareMatrix) -> tuple:
-    # (i, j) where the entries differ: a/d1 != b/d2 exactly when
-    # a d2 != b d1, so cross-multiplied entries are compared as integers
+    # (i, j) where the entries differ
     if m1 == m2:
         return ()
-    field = m1.field
-    u, v = field._times(m1.ents, m2.den), field._times(m2.ents, m1.den)
-    return tuple(divmod(k, m1.order) for k, (a, b) in enumerate(zip(u, v)) if a != b)
+    return tuple(divmod(k, m1.order) for k in m1._differing(m2))
 
 
 def block_check(x: Octonion) -> BlockCheckReport:

@@ -227,6 +227,21 @@ def test_generate_unsupported_k(capsys):
     assert err.startswith("error: unsupported k=6")
 
 
+def test_generate_rotor_rejects_octonions(capsys):
+    code, out, err = run(capsys, "generate", "rotor", "--field", "q", "--k", "5",
+                         "--direction", "0,3,4", "--algebra", "oct")
+    assert (code, out, err) == (
+        1, "", "error: rotor generation applies to quat algebras, got --algebra oct\n")
+
+
+def test_generate_idempotent_past_two_to_the_twenty(capsys):
+    # square roots over F_p have no size cap
+    code, out, err = run(capsys, "generate", "idempotent", "--field", "f1048583",
+                         "--params", "1,1", "--direction", "1,1,1")
+    assert code == 0 and err == ""
+    assert out == "element: 524292,524291,524291,524291\nkind: k-potent\nindex: 2\n"
+
+
 def test_generate_json(capsys):
     code, out, _ = run(
         capsys, "generate", "rotor", "--k", "4", "--direction", "1,-1,1",

@@ -7,8 +7,8 @@ An argv starts from a coherent request (a field, an algebra of that field,
 coordinates in its scalar grammar) and then has flags dropped, values
 swapped for malformed or out-of-range tokens, and stray tokens inserted, so
 both the success paths and every error path are reached.  Sizes stay
-small: fields up to F13 (plus one prime near 2^20, beyond the square-root
-cap), max_k <= 64 and sampling budgets <= 200.
+small: fields up to F13 (plus one prime near 2^20), max_k <= 64 and
+sampling budgets <= 200.
 """
 
 import contextlib

@@ -224,10 +224,18 @@ def test_large_prime_sqrt_is_fast():
     assert time.perf_counter() - start < 0.5
 
 
-def test_sqrt_rejects_large_primes():
-    big = PrimeField((1 << 20) + 7)
-    with pytest.raises(ValueError):
-        big.element(4).sqrt()
+def test_sqrt_over_large_primes():
+    # no size cap: 2^20 + 7, the Mersenne prime 2^61 - 1 (p = 3 mod 4, one
+    # modular power) and 2^64 - 2^32 + 1 = 1 mod 2^32 (32 folding rounds)
+    rng = random.Random(20)
+    for p in ((1 << 20) + 7, (1 << 61) - 1, (1 << 64) - (1 << 32) + 1):
+        field = PrimeField(p)
+        for _ in range(20):
+            y = rng.randrange(1, p)
+            x = y * y % p
+            root = field.element(x).sqrt().raw
+            assert root * root % p == x and root in (y, p - y)
+            assert root <= p - root
 
 
 def test_sqrt_of_square_is_plus_minus(field):

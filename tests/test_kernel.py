@@ -224,6 +224,22 @@ def test_element_operations_are_canonical(xy, data):
         m = rep(x)
         assert m.rows == oracle(x).rows
         assert_canonical_matrix(m)
+    # the left map is linear, and equal values hash alike
+    lx, ly = left_rep(x), left_rep(y)
+    for got, want in (
+        (left_rep(x + y), lx + ly),
+        (left_rep(x - y), lx - ly),
+        (left_rep(-x), -lx),
+        (left_rep(x.scale(lam)), lx.scale(lam)),
+        (x + y, y + x),
+    ):
+        assert got == want and hash(got) == hash(want)
+    # elements and matrices do not mix
+    with pytest.raises(TypeError):
+        x + lx
+    with pytest.raises(TypeError):
+        lx - x
+    assert x != lx and not (x == lx)
 
 
 @st.composite
