@@ -8,8 +8,10 @@ view built from that storage.  Multiplication is the bilinear
 extension of the basis table stored as structure constants, so the same
 kernel drives both dimensions: the unreduced left map of x, read off the
 lifted table, is dotted with y row by row, and the product is reduced
-once.  A Cayley-Dickson doubling product is provided as an independent
-cross-check of the transcribed octonion table.
+once.  Both tables are derived, once per dimension, by Cayley-Dickson
+doubling of the field (``_doubling``); no table is written out by hand.
+``cd_double_mul`` applies the same rule recursively, through quaternion
+products, as a second multiplication path that checks the flattened table.
 """
 
 from __future__ import annotations
@@ -24,93 +26,84 @@ class AlgebraMismatchError(ValueError):
     """Elements of two different algebras were combined."""
 
 
-def _quat_table(a: FieldElement, b: FieldElement):
-    one = a.field.one
-    ab = a * b
-    # row i, column j holds (k, coeff) with  f_i * f_j = coeff * f_k
-    return (
-        ((0, one), (1, one), (2, one), (3, one)),
-        ((1, one), (0, a), (3, one), (2, a)),          # f1*f1 = a,  f1*f3 = a f2
-        ((2, one), (3, -one), (0, b), (1, -b)),        # f2*f1 = -f3, f2*f3 = -b f1
-        ((3, one), (2, -a), (1, b), (0, -ab)),         # f3*f3 = -ab
-    )
-
-
-def _oct_table(a: FieldElement, b: FieldElement, c: FieldElement):
-    one = a.field.one
-    ab, ac, bc = a * b, a * c, b * c
-    abc = ab * c
-    return (
-        ((0, one), (1, one), (2, one), (3, one), (4, one), (5, one), (6, one), (7, one)),
-        # f1 row: f1*f1 = a, f1*f2 = f3, f1*f3 = a f2, f1*f4 = f5,
-        #         f1*f5 = a f4, f1*f6 = -f7, f1*f7 = -a f6
-        ((1, one), (0, a), (3, one), (2, a), (5, one), (4, a), (7, -one), (6, -a)),
-        # f2 row: f2*f1 = -f3, f2*f2 = b, f2*f3 = -b f1, f2*f4 = f6,
-        #         f2*f5 = f7, f2*f6 = b f4, f2*f7 = b f5
-        ((2, one), (3, -one), (0, b), (1, -b), (6, one), (7, one), (4, b), (5, b)),
-        # f3 row: f3*f1 = -a f2, f3*f2 = b f1, f3*f3 = -ab, f3*f4 = f7,
-        #         f3*f5 = a f6, f3*f6 = -b f5, f3*f7 = -ab f4
-        ((3, one), (2, -a), (1, b), (0, -ab), (7, one), (6, a), (5, -b), (4, -ab)),
-        # f4 row: f4*f1 = -f5, f4*f2 = -f6, f4*f3 = -f7, f4*f4 = c,
-        #         f4*f5 = -c f1, f4*f6 = -c f2, f4*f7 = -c f3
-        ((4, one), (5, -one), (6, -one), (7, -one), (0, c), (1, -c), (2, -c), (3, -c)),
-        # f5 row: f5*f1 = -a f4, f5*f2 = -f7, f5*f3 = -a f6, f5*f4 = c f1,
-        #         f5*f5 = -ac, f5*f6 = c f3, f5*f7 = ac f2
-        ((5, one), (4, -a), (7, -one), (6, -a), (1, c), (0, -ac), (3, c), (2, ac)),
-        # f6 row: f6*f1 = f7, f6*f2 = -b f4, f6*f3 = b f5, f6*f4 = c f2,
-        #         f6*f5 = -c f3, f6*f6 = -bc, f6*f7 = -bc f1
-        ((6, one), (7, one), (4, -b), (5, b), (2, c), (3, -c), (0, -bc), (1, -bc)),
-        # f7 row: f7*f1 = a f6, f7*f2 = -b f5, f7*f3 = ab f4, f7*f4 = c f3,
-        #         f7*f5 = -ac f2, f7*f6 = bc f1, f7*f7 = abc
-        ((7, one), (6, a), (5, -b), (4, ab), (3, c), (2, -ac), (1, bc), (0, abc)),
-    )
-
-
 @lru_cache(maxsize=None)
-def _map_layout(targets):
-    """Gathers that lay out the left and right maps of x, flat row by row.
+def _doubling(dim):
+    """The basis table of the algebra of dimension dim, parameters left
+    symbolic, and the gathers that lay out its left and right maps.
 
-    targets[i][j] is the k with f_i f_j = c_ij f_k.  The left map has
-    x_i c_ij at (k, j) and the right map x_j c_ij at (k, i); for each map
-    this returns one itemgetter of the x coordinates and one of the table
-    entries (flat index i*n + j) behind its n^2 positions.  It depends only
-    on the shape of the basis table, so it is built once per dimension.
+    The field is doubled log2(dim) times, by the parameters in order:
+    (x', x'')(y', y'') = (x'y' + c conj(y'')x'', y''x' + x''conj(y')) for
+    the parameter c of that step, and f_{m+j} = (0, f_j) over the previous
+    dimension m.  Entry [i][j] is (k, sign, mask) with f_i f_j = sign *
+    (the product of the parameters whose bits are set in mask) * f_k.  The
+    left map has x_i c_ij at (k, j) and the right map x_j c_ij at (k, i);
+    each map gets one itemgetter of the x coordinates and one of the table
+    entries (flat index i*dim + j) behind its dim^2 positions.  Nothing
+    here depends on the parameter values, so it is built once per dimension.
     """
-    n = len(targets)
-    left, right = [None] * (n * n), [None] * (n * n)
-    for i, row in enumerate(targets):
-        for j, k in enumerate(row):
-            left[k * n + j] = (i, i * n + j)
-            right[k * n + i] = (j, i * n + j)
-    return tuple(
+    table = (((0, 1, 0),),)
+    for bit in range(dim.bit_length() - 1):  # one doubling per parameter
+        m = len(table)
+        conj = [1] + [-1] * (m - 1)
+        rows = [[None] * (2 * m) for _ in range(2 * m)]
+        for i in range(m):
+            for j in range(m):
+                rows[i][j] = table[i][j]                            # x'y'
+                k, s, mask = table[i][j]
+                rows[m + i][j] = (m + k, s * conj[j], mask)         # x''conj(y')
+                k, s, mask = table[j][i]
+                rows[i][m + j] = (m + k, s, mask)                   # y''x'
+                rows[m + i][m + j] = (k, s * conj[j], mask | 1 << bit)  # c conj(y'')x''
+        table = tuple(tuple(row) for row in rows)
+    left, right = [None] * (dim * dim), [None] * (dim * dim)
+    for i, row in enumerate(table):
+        for j, (k, _, _) in enumerate(row):
+            left[k * dim + j] = (i, i * dim + j)
+            right[k * dim + i] = (j, i * dim + j)
+    return table, tuple(
         (itemgetter(*[src for src, _ in plan]), itemgetter(*[entry for _, entry in plan]))
         for plan in (left, right)
     )
 
 
 class _TableAlgebra:
-    """Shared machinery for the two quadratic algebras."""
+    """Shared machinery for the two quadratic algebras: the doubling of the
+    field by ``params``, in order."""
 
     dim = 0
+    _symbol = ""
     _element_cls = None
 
-    def _finish_init(self, table):
-        field = self.field
+    def __init__(self, field: Field, *params):
+        self.field = field
+        self.params = tuple(field.element(v) for v in params)
+        if any(v.is_zero for v in self.params):
+            raise ValueError("algebra parameters must be nonzero")
+        table, layouts = _doubling(self.dim)
+        # the product of each subset of the parameters, indexed by its mask,
+        # and its negation
+        prods = [field.one.raw]
+        for v in self.params:
+            prods += [field._mul(u, v.raw) for u in prods]
+        signed = {1: prods, -1: [field._neg(u) for u in prods]}
         # (k, c_ij) with f_i f_j = c_ij f_k
-        self._table_raw = tuple(tuple((k, c.raw) for (k, c) in row) for row in table)
+        self._table_raw = tuple(
+            tuple((k, signed[s][mask]) for k, s, mask in row) for row in table
+        )
         # with the c_ij lifted over one shared denominator, the left or right
         # map of x is one gather of x's lifted coordinates times the c_ij laid
         # out the same way: a plan (gather, coefficients)
         coeffs, self._coeff_den = field._lift(
             [coeff for row in self._table_raw for _, coeff in row]
         )
-        targets = tuple(tuple(k for k, _ in row) for row in self._table_raw)
         self._left_plan, self._right_plan = (
-            (gather, pick(coeffs)) for gather, pick in _map_layout(targets)
+            (gather, pick(coeffs)) for gather, pick in layouts
         )
         # norm form n(x) = sum w_i x_i^2: w_0 = 1, w_i = -c_ii for f_i f_i = c_ii
-        diagonal = [row[i][1] for i, row in enumerate(self._table_raw)]
-        self._norm_raw = (field.one.raw,) + tuple(field._neg(c) for c in diagonal[1:])
+        diagonal = [table[i][i] for i in range(1, self.dim)]
+        self._norm_raw = (field.one.raw,) + tuple(
+            signed[-s][mask] for _, s, mask in diagonal
+        )
         self._norm_lifted, self._norm_den = field._lift(self._norm_raw)
         self.zero = self.element((0,) * self.dim)
         self.one = self.element((1,) + (0,) * (self.dim - 1))
@@ -118,10 +111,6 @@ class _TableAlgebra:
     def _from_lifted(self, vec, den):
         """The element with lifted coordinates vec over den, reduced."""
         return self._element_cls(self, *self.field._reduce(vec, den))
-
-    @property
-    def params(self):
-        raise NotImplementedError
 
     def element(self, coords):
         coords = tuple(coords)
@@ -176,59 +165,39 @@ class _TableAlgebra:
     def __hash__(self):
         return hash((type(self).__name__, self.field, self.params))
 
+    def __str__(self):
+        return f"{self._symbol}({','.join(map(str, self.params))}) over {self.field}"
+
+    __repr__ = __str__
+
 
 class QuatAlgebra(_TableAlgebra):
     """H(a,b): basis 1, f1, f2, f3 with f1^2 = a, f2^2 = b, f3 = f1 f2."""
 
     dim = 4
+    _symbol = "H"
 
     def __init__(self, field: Field, a, b):
-        self.field = field
-        self.a = field.element(a)
-        self.b = field.element(b)
-        if self.a.is_zero or self.b.is_zero:
-            raise ValueError("algebra parameters must be nonzero")
-        self._finish_init(_quat_table(self.a, self.b))
-
-    @property
-    def params(self):
-        return (self.a, self.b)
-
-    def __str__(self):
-        return f"H({self.a},{self.b}) over {self.field}"
-
-    __repr__ = __str__
+        super().__init__(field, a, b)
+        self.a, self.b = self.params
 
 
 class OctAlgebra(_TableAlgebra):
     """O(a,b,c): the doubling of H(a,b) by a third nonzero parameter c."""
 
     dim = 8
+    _symbol = "O"
 
     def __init__(self, field: Field, a, b, c):
-        self.field = field
-        self.a = field.element(a)
-        self.b = field.element(b)
-        self.c = field.element(c)
-        if self.a.is_zero or self.b.is_zero or self.c.is_zero:
-            raise ValueError("algebra parameters must be nonzero")
-        self._finish_init(_oct_table(self.a, self.b, self.c))
+        super().__init__(field, a, b, c)
+        self.a, self.b, self.c = self.params
         self._quaternions = None
-
-    @property
-    def params(self):
-        return (self.a, self.b, self.c)
 
     def quaternion_subalgebra(self) -> QuatAlgebra:
         # built on first use and kept: split_pair asks for it on every call
         if self._quaternions is None:
             self._quaternions = QuatAlgebra(self.field, self.a, self.b)
         return self._quaternions
-
-    def __str__(self):
-        return f"O({self.a},{self.b},{self.c}) over {self.field}"
-
-    __repr__ = __str__
 
 
 class AlgebraElement(Lifted):
@@ -370,8 +339,10 @@ def cd_double_mul(x: Octonion, y: Octonion) -> Octonion:
 
     With x = (x', x'') and y = (y', y'') this computes
     (x'y' + c conj(y'') x'',  y'' x' + x'' conj(y')), the doubling rule that
-    reproduces the basis table entry for entry.  It is kept as a second,
-    structurally different multiplication path for cross-checking.
+    ``_doubling`` flattens into the basis table.  Applied here through
+    quaternion products, it is a second, structurally different
+    multiplication path that cross-checks the table kernel; the tests check
+    the derived tables themselves against hand-written maps.
     """
     if not isinstance(x, Octonion) or not isinstance(y, Octonion):
         raise TypeError("cd_double_mul expects two octonions")

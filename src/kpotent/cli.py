@@ -113,23 +113,18 @@ def _cmd_rep(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    field = parse_field(args.field)
-    if args.kind == "rotor":
-        if args.algebra != "quat":
-            raise ParseError(
-                f"rotor generation applies to quat algebras, got --algebra {args.algebra}"
-            )
-        params = [field.parse(tok) for tok in args.params.split(",")]
-        if len(params) != 2:
-            raise ParseError("rotor generation takes two parameters a,b")
-        algebra = QuatAlgebra(field, *params)
-        if args.k is None:
-            raise ParseError("rotor generation needs --k")
-        direction = [field.parse(tok) for tok in args.direction.split(",")]
+    rotor = args.kind == "rotor"
+    if rotor and args.algebra != "quat":
+        raise ParseError(
+            f"rotor generation applies to quat algebras, got --algebra {args.algebra}"
+        )
+    algebra = _build_algebra(args)
+    if rotor and args.k is None:
+        raise ParseError("rotor generation needs --k")
+    direction = [algebra.field.parse(tok) for tok in args.direction.split(",")]
+    if rotor:
         element = rotor_generate(args.k, direction, algebra)
     else:
-        algebra = _build_algebra(args)
-        direction = [field.parse(tok) for tok in args.direction.split(",")]
         element = split_generate(args.kind, algebra, direction)
     report = classify(element, args.max_k)
     if args.format == "json":

@@ -8,8 +8,10 @@ R[k][i] = x_j c_ij, so no matrix is transcribed by hand.  ``block_check``
 compares the 8x8 maps read off the octonion table against their assembly
 from 4x4 blocks read off the quaternion table of the two halves, in both
 the classical fixed-sign form (valid for c = -1) and the parametric form
-that carries the doubling parameter; since the two tables are transcribed
-independently, the comparison stays a cross-check of both.
+that carries the doubling parameter.  Both tables come from one doubling
+derivation, so the comparison checks the maps read off the octonion table
+against the doubling rule written as 4x4 blocks; the tables themselves are
+checked against hand-written maps in the tests.
 
 A matrix is stored in the field's lifted form, as a flat row-major vector
 of n^2 entries; ``kpotent.fields`` describes the format and, in

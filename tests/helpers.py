@@ -6,7 +6,8 @@ brute-force census and witness scans below walk every coordinate tuple and
 are the oracles for the norm-distribution routes in kpotent.search.  The
 hand-transcribed representation matrices and the per-term schoolbook
 products are the literal-definition oracles for the table-derived maps and
-the lazy-reduction kernel.
+the lazy-reduction kernel; the maps of the basis elements also fix every
+entry of the basis tables that kpotent.algebra derives by doubling.
 """
 
 import random
@@ -250,7 +251,11 @@ def transcribed_right_rep(x):
 
 
 def schoolbook_mul(x, y):
-    """x*y term by term from the structure constants, reducing every step."""
+    """x*y term by term from the structure constants, reducing every step.
+
+    It reads the algebra's own table, ``_table_raw``, so it checks the
+    product kernel, not the table; the transcribed maps above check the
+    table."""
     alg = x.algebra
     field = alg.field
     acc = [field.zero] * alg.dim

@@ -234,6 +234,14 @@ def test_generate_rotor_rejects_octonions(capsys):
         1, "", "error: rotor generation applies to quat algebras, got --algebra oct\n")
 
 
+def test_generate_rotor_checks_parameter_count(capsys):
+    # rotors build their algebra like every other command
+    code, out, err = run(capsys, "generate", "rotor", "--field", "q", "--k", "5",
+                         "--direction", "0,3,4", "--params", "-1,-1,-1")
+    assert (code, out, err) == (
+        1, "", "error: quaternion algebras take two parameters a,b\n")
+
+
 def test_generate_idempotent_past_two_to_the_twenty(capsys):
     # square roots over F_p have no size cap
     code, out, err = run(capsys, "generate", "idempotent", "--field", "f1048583",

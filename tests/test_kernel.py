@@ -135,6 +135,8 @@ def _fractional_algebras():
         QuatAlgebra(q2, half_plus, (Fraction(-1, 3), Fraction(2, 5))),
         OctAlgebra(q2, half_plus, Fraction(3, 4), (0, Fraction(-1, 7))),
         OctAlgebra(q6, (Fraction(-5, 2), Fraction(1, 3)), half_plus, 3),
+        QuatAlgebra(PrimeField(1048573), 2, -3),
+        OctAlgebra(PrimeField(13), 2, 3, 5),
     ]
 
 
@@ -147,8 +149,10 @@ def test_fractional_parameters_match_oracles(alg):
     for y in basis + (x, x * x):
         assert x * y == schoolbook_mul(x, y)
         assert y * x == schoolbook_mul(y, x)
-    assert left_rep(x).rows == transcribed_left_rep(x).rows
-    assert right_rep(x).rows == transcribed_right_rep(x).rows
+    # the maps of the basis elements fix every entry of the derived table
+    for y in basis + (x,):
+        assert left_rep(y).rows == transcribed_left_rep(y).rows
+        assert right_rep(y).rows == transcribed_right_rep(y).rows
     assert left_rep(x) * left_rep(x) == schoolbook_matmul(left_rep(x), left_rep(x))
     assert_canonical_element(x * x)
     assert_canonical_matrix(left_rep(x) * right_rep(x))

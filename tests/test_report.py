@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +102,13 @@ def test_renderers(report):
     csv_text = render_csv(report)
     assert csv_text.splitlines()[0] == "id,regime,verdict,detail"
     assert len(csv_text.splitlines()) == len(report["findings"]) + 1
+
+
+def test_json_matches_frozen_report_v1(report):
+    # the benchmark's frozen copy of report v1: every verdict, first
+    # counterexample and detail string, byte for byte
+    frozen = Path(__file__).resolve().parent.parent / "perfbench" / "report_v1.json"
+    assert (render_json(report) + "\n").encode() == frozen.read_bytes()
 
 
 def test_bad_evidence_route_rejected():
