@@ -2,14 +2,15 @@
 
 Elements carry their algebra and their coordinates in the field's lifted
 form; ``kpotent.fields`` describes the format and, in ``Lifted``, the
-operations that need only the format (sums, scaling, equality, hashing).
-``coords``, the coordinates as ``FieldElement`` values, is a read-only
-view built from that storage.  Multiplication is the bilinear
-extension of the basis table stored as structure constants, so the same
-kernel drives both dimensions: the unreduced left map of x, read off the
-lifted table, is dotted with y row by row, and the product is reduced
-once.  Both tables are derived, once per dimension, by Cayley-Dickson
-doubling of the field (``_doubling``); no table is written out by hand.
+operations that need only the format (sums, scaling, equality, hashing,
+the ``*`` dispatch and ``**``).  ``coords``, the coordinates as
+``FieldElement`` values, is a read-only view built from that storage on
+each access.  Multiplication is the bilinear extension of the basis table
+stored as structure constants, so the same kernel drives both dimensions:
+the unreduced left map of x, read off the lifted table, is dotted with y
+row by row, and the product is reduced once.  Both tables are derived,
+once per dimension, by Cayley-Dickson doubling of the field
+(``_doubling``); no table is written out by hand.
 ``cd_double_mul`` applies the same rule recursively, through quaternion
 products, as a second multiplication path that checks the flattened table.
 """
@@ -17,9 +18,9 @@ products, as a second multiplication path that checks the flattened table.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import itemgetter
 
-from .fields import Field, FieldElement, Lifted, ParseError, _power
+from .fields import Field, FieldElement, Lifted, ParseError
 
 
 class AlgebraMismatchError(ValueError):
@@ -120,11 +121,9 @@ class _TableAlgebra:
                 f"got {len(coords)}"
             )
         field = self.field
-        coords = tuple([field.element(c) for c in coords])
-        # the lift of canonical values is canonical; the validated values
-        # are the coords view
-        ents, den = field._lift([c.raw for c in coords])
-        return self._element_cls(self, tuple(ents), den, coords)
+        # the lift of canonical values is canonical
+        ents, den = field._lift([field.element(c).raw for c in coords])
+        return self._element_cls(self, tuple(ents), den)
 
     def basis_element(self, i: int):
         if not 0 <= i < self.dim:
@@ -207,13 +206,13 @@ class AlgebraElement(Lifted):
     ``coords`` is their view as FieldElements.
     """
 
-    __slots__ = ("algebra", "_coords")
+    __slots__ = ("algebra",)
+    _negative_power = "negative powers are not defined here; use inverse()"
 
-    def __init__(self, algebra, ents, den, coords=None):
+    def __init__(self, algebra, ents, den):
         self.algebra = algebra
         self.ents = ents
         self.den = den
-        self._coords = coords
 
     @property
     def field(self) -> Field:
@@ -221,13 +220,9 @@ class AlgebraElement(Lifted):
 
     @property
     def coords(self) -> tuple:
-        """The coordinates as FieldElements, built from the lifted storage
-        on first use and kept.  The storage never changes, so threads that
-        race here build and write equal tuples."""
-        coords = self._coords
-        if coords is None:
-            coords = self._coords = self.algebra.field._view(self.ents, self.den)
-        return coords
+        """The coordinates as FieldElements: a view built on each access,
+        for the API edge only."""
+        return self.algebra.field._view(self.ents, self.den)
 
     def _like(self, vec, den):
         return self.algebra._from_lifted(vec, den)
@@ -241,17 +236,12 @@ class AlgebraElement(Lifted):
                 f"cannot combine an element of {other.algebra} with one of {self.algebra}"
             )
 
+    def _one(self):
+        return self.algebra.one
+
     # -- ring operations -----------------------------------------------
 
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check_same(other)
-            return self._table_mul(other)
-        if isinstance(other, (FieldElement, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def _table_mul(self, other):
+    def _product(self, other):
         alg = self.algebra
         field = alg.field
         dot = field._dot
@@ -265,15 +255,6 @@ class AlgebraElement(Lifted):
             [dot(lx[k:k + n], ys) for k in range(0, n * n, n)],
             self.den * alg._coeff_den * other.den,
         )
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative powers are not defined here; use inverse()")
-        # square-and-multiply is valid in octonions too, which are
-        # alternative and hence power-associative (Artin's theorem)
-        return _power(self.algebra.one, self, n, mul)
 
     # -- the quadratic-algebra structure ---------------------------------
 

@@ -178,13 +178,16 @@ def _add_format(parser) -> None:
     )
 
 
-def _add_algebra_flags(parser, params_required=True) -> None:
+def _add_algebra_flags(parser, params_default=None) -> None:
     parser.add_argument("--field", required=True,
                         help="coefficient field: f<p>, q or q[sqrt<d>]")
     parser.add_argument("--algebra", choices=("quat", "oct"), default="quat",
                         help="algebra kind (default: quat)")
-    parser.add_argument("--params", required=params_required,
-                        help="algebra parameters a,b or a,b,c")
+    params_help = "algebra parameters a,b or a,b,c"
+    if params_default is not None:
+        params_help += f" (default: {params_default})"
+    parser.add_argument("--params", required=params_default is None,
+                        default=params_default, help=params_help)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,10 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="construct a k-potent, idempotent, "
                        "tripotent or nilpotent element")
     p.add_argument("kind", choices=("rotor", "idempotent", "tripotent", "nilpotent"))
-    p.add_argument("--field", required=True)
-    p.add_argument("--algebra", choices=("quat", "oct"), default="quat")
-    p.add_argument("--params", default="-1,-1",
-                   help="algebra parameters (default -1,-1; rotors require it)")
+    _add_algebra_flags(p, params_default="-1,-1")
     p.add_argument("--k", type=int, default=None, help="target potency index (rotor)")
     p.add_argument("--direction", required=True,
                    help="pure-part direction coordinates")

@@ -36,9 +36,11 @@ matrices are stored this way, as subclasses of ``Lifted`` (see below);
 
 ``Lifted`` holds one such vector, ``ents`` over ``den``, and implements
 everything that needs only the format: ``+``, ``-``, negation, scaling,
-``is_zero``, ``==``, ``hash`` and the list of differing entries.  Its
-subclasses (``AlgebraElement``, ``SquareMatrix``) add their own product
-and shape.
+``is_zero``, ``==``, ``hash`` and the list of differing entries, as well as
+the one ``*`` dispatch and the one ``**``.  Its subclasses
+(``AlgebraElement``, ``SquareMatrix``) add their own product, identity and
+shape; their ``FieldElement`` views (``coords``, ``rows``) are built from
+the storage on each access.
 
 Nothing is reduced between the lift and the reduction, and nothing is ever
 rounded: a product costs one reduction of its whole output, and it is the
@@ -135,8 +137,8 @@ def _rational_sqrt(x: Fraction):
 def _power(one, base, n: int, mul):
     """base**n for n >= 0 by square-and-multiply: one squaring per bit of n.
 
-    Scalars pass their field's raw product; algebra elements and matrices
-    pass ``operator.mul``, so each product goes through their ``__mul__``.
+    Scalars pass their field's raw product; ``Lifted.__pow__`` passes
+    ``operator.mul``, so each product goes through ``__mul__``.
     """
     out = one
     while n:
@@ -260,7 +262,10 @@ class Lifted:
     be combined with it; ``_like(vec, den)``, the value of its own kind and
     shape holding vec over den, reduced; ``_check_same(other)``, which
     raises its own error when other lives in a different algebra, field or
-    shape; and ``_space()``, what two equal values must share.
+    shape; ``_space()``, what two equal values must share; ``_product(other)``,
+    its product with a value of the same kind and space; ``_one()``, its
+    multiplicative identity; and ``_negative_power``, the message of the
+    ValueError that a negative exponent raises.
     """
 
     __slots__ = ("ents", "den")
@@ -283,10 +288,27 @@ class Lifted:
     def __neg__(self):
         return self._like(self.field._times(self.ents, -1), self.den)
 
+    def __mul__(self, other):
+        if isinstance(other, self._kind):
+            self._check_same(other)
+            return self._product(other)
+        if isinstance(other, (FieldElement, int)):
+            return self.scale(other)
+        return NotImplemented
+
     def __rmul__(self, other):
         if isinstance(other, (FieldElement, int)):
             return self.scale(other)
         return NotImplemented
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            raise ValueError(self._negative_power)
+        # square-and-multiply needs only power-associativity, which octonions
+        # have: they are alternative (Artin's theorem)
+        return _power(self._one(), self, n, mul)
 
     def scale(self, factor):
         field = self.field

@@ -110,13 +110,27 @@ def classify(x: AlgebraElement, max_k: int = DEFAULT_MAX_K) -> PotencyReport:
     """
     _check_max_k(max_k)
     trace, norm = x.trace(), x.norm()
-    x0, field = x.coords[0], x.algebra.field
-    scalar_tail = all(c.is_zero for c in x.coords[1:])
+    field = x.algebra.field
+    # read off the lifted storage: canonical zero entries are field._nil
+    x0 = FieldElement(field, field._drop(x.ents[0], x.den))
+    scalar_tail = all(e == field._nil for e in x.ents[1:])
     if isinstance(field, (RationalField, QuadraticField)):
         kind, index = _classify_plane(0, max_k, x0, norm, scalar_tail)
     else:
         kind, index = _classify_plane(field.p, max_k, x0.raw, norm.raw, scalar_tail)
     return PotencyReport(kind, index, trace, norm)
+
+
+def _scaled_direction(algebra, head, s, direction):
+    """head + lam v, v the pure element with the direction's coordinates and
+    lam^2 n(v) = s: an element of trace 2 head and norm head^2 + s."""
+    v = algebra.element((0,) + direction)
+    try:
+        # no lam exists when n(v) = 0 or s / n(v) is not a square
+        lam = (s / v.norm()).sqrt()
+    except (ZeroDivisionError, NotASquareError):
+        raise GenerationError("direction not normalizable in field") from None
+    return algebra.one.scale(head) + v.scale(lam)
 
 
 def rotor_generate(k: int, direction, algebra: QuatAlgebra) -> Quaternion:
@@ -141,13 +155,9 @@ def rotor_generate(k: int, direction, algebra: QuatAlgebra) -> Quaternion:
         raise GenerationError("direction must have exactly 3 coordinates")
     if all(d.is_zero for d in direction):
         raise GenerationError("direction must be nonzero")
+    # with a = b = -1 the norm of the pure part is |direction|^2
     cos_a, sin_sq = _ROTOR_ANGLES[k]
-    length_sq = sum((d * d for d in direction), field.zero)
-    try:
-        scale = (field.element(sin_sq) / length_sq).sqrt()
-    except NotASquareError:
-        raise GenerationError("direction not normalizable in field") from None
-    return algebra.element((field.element(cos_a),) + tuple(scale * d for d in direction))
+    return _scaled_direction(algebra, field.element(cos_a), field.element(sin_sq), direction)
 
 
 def demoivre_power_check(algebra: QuatAlgebra, cos_coord, pure_coords, n: int) -> bool:
@@ -180,11 +190,6 @@ def demoivre_power_check(algebra: QuatAlgebra, cos_coord, pure_coords, n: int) -
     return True
 
 
-def _pure_norm(algebra, direction):
-    # norm of the purely imaginary element with the given coordinates
-    return algebra.element((0,) + tuple(direction)).norm()
-
-
 def split_generate(kind: str, algebra, direction) -> AlgebraElement:
     """Build an idempotent, tripotent or nilpotent element from a direction.
 
@@ -203,25 +208,20 @@ def split_generate(kind: str, algebra, direction) -> AlgebraElement:
         raise GenerationError(
             f"direction must have {algebra.dim - 1} coordinates for {algebra}"
         )
-    pure_norm = _pure_norm(algebra, direction)
 
     if kind == "nilpotent":
         if all(d.is_zero for d in direction):
             raise GenerationError("direction must be nonzero")
-        if not pure_norm.is_zero:
+        v = algebra.element((0,) + direction)
+        norm = v.norm()
+        if not norm.is_zero:
             raise GenerationError(
-                f"nilpotent generation needs a norm-zero direction, got norm {pure_norm}"
+                f"nilpotent generation needs a norm-zero direction, got norm {norm}"
             )
-        return algebra.element((0,) + direction)
+        return v
 
     if kind not in ("idempotent", "tripotent"):
         raise GenerationError(f"unknown kind {kind!r}")
-    if pure_norm.is_zero:
-        raise GenerationError("direction not normalizable in field")
-    try:
-        lam = (-(field.element(4) * pure_norm).inv()).sqrt()
-    except NotASquareError:
-        raise GenerationError("direction not normalizable in field") from None
-    half = field.one / field.element(2)
+    half = field.element(2).inv()
     head = half if kind == "idempotent" else -half
-    return algebra.element((head,) + tuple(lam * d for d in direction))
+    return _scaled_direction(algebra, head, -half * half, direction)

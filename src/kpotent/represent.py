@@ -16,20 +16,20 @@ checked against hand-written maps in the tests.
 A matrix is stored in the field's lifted form, as a flat row-major vector
 of n^2 entries; ``kpotent.fields`` describes the format and, in
 ``Lifted``, the operations that need only the format (sums, scaling,
-equality, hashing, differing entries).  Rows are slices of the vector and
-columns ``ents[j::n]``; every operation works on these integers and reduces
-its result once.  ``rows``, the entries as ``FieldElement`` values, is a
-read-only view for the API edge.
+equality, hashing, differing entries, the ``*`` dispatch and ``**``).
+Rows are slices of the vector and columns ``ents[j::n]``; every operation
+works on these integers and reduces its result once.  ``rows``, the
+entries as ``FieldElement`` values, is a read-only view built on each
+access, for the API edge.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import mul
 
 from .algebra import AlgebraElement, Octonion, Quaternion
-from .fields import Field, FieldElement, Lifted, ParseError, _power
+from .fields import Field, Lifted, ParseError
 
 
 def _check_order(order: int) -> None:
@@ -41,6 +41,7 @@ class SquareMatrix(Lifted):
     """Dense n x n matrix over a field, n in {4, 8}, in lifted form."""
 
     __slots__ = ("field", "order")
+    _negative_power = "negative matrix powers are not supported"
 
     def __init__(self, field: Field, rows):
         rows = tuple(tuple(field.element(e) for e in row) for row in rows)
@@ -107,17 +108,12 @@ class SquareMatrix(Lifted):
         if other.field != self.field or other.order != self.order:
             raise ValueError("matrix operands must share order and field")
 
-    def __mul__(self, other):
-        if isinstance(other, SquareMatrix):
-            self._check_same(other)
-            return self._mat_mul(other)
-        if isinstance(other, (FieldElement, int)):
-            return self.scale(other)
-        return NotImplemented
+    def _one(self):
+        return SquareMatrix.identity(self.order, self.field)
 
-    __matmul__ = __mul__
+    __matmul__ = Lifted.__mul__
 
-    def _mat_mul(self, other):
+    def _product(self, other):
         # every entry is one unreduced dot product of a row slice and a
         # column slice; the product is reduced once
         field = self.field
@@ -128,13 +124,6 @@ class SquareMatrix(Lifted):
         cols = [b[j::n] for j in range(n)]
         vec = [dot(row, col) for row in rows for col in cols]
         return SquareMatrix._from_lifted(field, n, vec, self.den * other.den)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative matrix powers are not supported")
-        return _power(SquareMatrix.identity(self.order, self.field), self, n, mul)
 
     def transpose(self) -> "SquareMatrix":
         n, ents = self.order, self.ents
@@ -153,15 +142,20 @@ class SquareMatrix(Lifted):
         return [[str(e) for e in row] for row in self.rows]
 
     @classmethod
-    def from_csv(cls, field: Field, text: str) -> "SquareMatrix":
-        lines = [line for line in text.strip().splitlines() if line.strip()]
+    def _from_tokens(cls, field: Field, token_rows) -> "SquareMatrix":
+        # one row of scalar literals per matrix row; errors name the row
         rows = []
-        for i, line in enumerate(lines):
+        for i, tokens in enumerate(token_rows):
             try:
-                rows.append(tuple(field.parse(tok) for tok in line.split(",")))
+                rows.append(tuple(field.parse(tok) for tok in tokens))
             except ParseError as exc:
                 raise ParseError(f"row {i}: {exc}") from None
         return cls(field, rows)
+
+    @classmethod
+    def from_csv(cls, field: Field, text: str) -> "SquareMatrix":
+        lines = [line for line in text.strip().splitlines() if line.strip()]
+        return cls._from_tokens(field, (line.split(",") for line in lines))
 
     @classmethod
     def from_json(cls, field: Field, text: str) -> "SquareMatrix":
@@ -174,13 +168,7 @@ class SquareMatrix(Lifted):
             for row in data
         ):
             raise ParseError("matrix JSON must be a list of lists of strings")
-        rows = []
-        for i, row in enumerate(data):
-            try:
-                rows.append(tuple(field.parse(tok) for tok in row))
-            except ParseError as exc:
-                raise ParseError(f"row {i}: {exc}") from None
-        return cls(field, rows)
+        return cls._from_tokens(field, data)
 
     def __str__(self):
         return self.to_csv()

@@ -8,6 +8,7 @@ step; its storage must be in canonical lifted form and every raw value of
 its views canonical (structural equality and hashing depend on both).
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,12 @@ from kpotent import (
     RationalField,
     SquareMatrix,
     cd_double_mul,
+    classify,
     discrepancy_report,
     left_rep,
     right_rep,
 )
+from kpotent.algebra import AlgebraElement
 from kpotent.represent import _mismatches
 
 from helpers import (
@@ -238,11 +241,21 @@ def test_element_operations_are_canonical(xy, data):
         (x + y, y + x),
     ):
         assert got == want and hash(got) == hash(want)
-    # elements and matrices do not mix
-    with pytest.raises(TypeError):
-        x + lx
-    with pytest.raises(TypeError):
-        lx - x
+    # elements and matrices do not mix, elements have no @, and exponents
+    # are non-negative ints
+    for mixed in (
+        lambda: x + lx, lambda: lx - x, lambda: x * lx, lambda: lx * x,
+        lambda: x @ y, lambda: x @ lx, lambda: lx @ x, lambda: x ** 1.5, lambda: lx ** 1.5,
+    ):
+        with pytest.raises(TypeError):
+            mixed()
+    assert x.__pow__(1.5) is NotImplemented and lx.__pow__(1.5) is NotImplemented
+    for value, message in (
+        (x, "negative powers are not defined here; use inverse()"),
+        (lx, "negative matrix powers are not supported"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            value ** -1
     assert x != lx and not (x == lx)
 
 
@@ -354,4 +367,23 @@ def test_report_builds_no_row_views(monkeypatch):
 
     monkeypatch.setattr(SquareMatrix, "rows", property(counted))
     assert len(discrepancy_report()["findings"]) == 85
+    assert built == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_classify_builds_no_coord_views(field, monkeypatch):
+    # classify reads x0 and the zero tail off the lifted storage
+    alg = OctAlgebra(field, -1, 2, 3)
+    elements = (alg.zero, alg.one, alg.one.scale(2), -alg.one) + alg.basis() + (
+        alg.element(range(1, 9)),)
+    want = [classify(x) for x in elements]
+    built = []
+    view = AlgebraElement.coords
+
+    def counted(x):
+        built.append(x.algebra.dim)
+        return view.fget(x)
+
+    monkeypatch.setattr(AlgebraElement, "coords", property(counted))
+    assert [classify(x) for x in elements] == want
     assert built == []
