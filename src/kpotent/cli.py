@@ -3,14 +3,17 @@ generate potent elements, run censuses, and print the identity report.
 
 Every run is deterministic given its flags (including --seed).  Errors,
 argparse's usage errors included, are a single machine-parsable
-``error: ...`` line on stderr with exit code 1; ``--format json`` wraps
-each result in an ``{"ok": true, "result": ...}`` envelope for scripting.
+``error: ...`` line on stderr with exit code 1, a closed stdout included.
+``--format json`` wraps each result in an ``{"ok": true, "result": ...}``
+envelope for scripting, except ``paper-report``, which prints the bare
+report-v1 object.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -261,7 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here rather than at exit, so that a closed stdout lands below
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull, or the
+        # flush at exit would fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: broken pipe: stdout was closed before the output was written",
+              file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -107,6 +107,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _quadratic_character(x: int, p: int) -> int:
+    """The Legendre symbol (x/p) for an odd prime p: 0, 1 or -1, by Euler's
+    criterion."""
+    e = pow(x, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"exact scalar expected, got {value!r}")
@@ -349,14 +356,6 @@ class Field:
             return value
         return FieldElement(self, self._canon(value))
 
-    @property
-    def zero(self) -> FieldElement:
-        return self._zero
-
-    @property
-    def one(self) -> FieldElement:
-        return self._one
-
     def parse(self, text: str) -> FieldElement:
         """Parse a scalar literal; str(element) round-trips bit exactly."""
         return FieldElement(self, self._parse(text.strip()))
@@ -379,10 +378,20 @@ class Field:
         return NotImplemented
 
     def _init_constants(self):
-        self._zero = FieldElement(self, self._canon(0))
-        self._one = FieldElement(self, self._canon(1))
+        self.zero = FieldElement(self, self._canon(0))
+        self.one = FieldElement(self, self._canon(1))
         # the lifted zero and one entries: 0 and 1, or (0, 0) and (1, 0)
-        (self._nil, self._unit), _ = self._lift([self._zero.raw, self._one.raw])
+        (self._nil, self._unit), _ = self._lift([self.zero.raw, self.one.raw])
+
+    # a field is named uniquely by its grammar token (f13, q, q[sqrt2])
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Field) and other.grammar_token() == self.grammar_token()
+        )
+
+    def __hash__(self):
+        return hash(self.grammar_token())
 
     # the kernel on integer entries (F_p, Q); Q(sqrt d) has its own for pairs
 
@@ -458,7 +467,7 @@ class PrimeField(Field):
         p = self.p
         if x == 0:
             return 0
-        if pow(x, (p - 1) // 2, p) != 1:  # Euler's criterion
+        if _quadratic_character(x, p) != 1:
             raise NotASquareError(f"{x} is not a square in {self}")
         # Tonelli-Shanks: p - 1 = q * 2^s with q odd, z a non-residue
         q, s = p - 1, 0
@@ -466,7 +475,7 @@ class PrimeField(Field):
             q //= 2
             s += 1
         z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
+        while _quadratic_character(z, p) != -1:
             z += 1
         c, t, root = pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
         while t != 1:
@@ -494,12 +503,6 @@ class PrimeField(Field):
 
     def grammar_token(self):
         return f"f{self.p}"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("zp", self.p))
 
     def __str__(self):
         return f"F{self.p}"
@@ -544,7 +547,7 @@ class RationalField(Field):
         return tuple([x // g for x in vec]), den // g
 
     def _drop(self, acc, den):
-        return Fraction(acc, den) if acc else self._zero.raw
+        return Fraction(acc, den) if acc else self.zero.raw
 
     def _sqrt(self, x):
         root = _rational_sqrt(x)
@@ -563,12 +566,6 @@ class RationalField(Field):
 
     def grammar_token(self):
         return "q"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rationals")
 
     def __str__(self):
         return "Q"
@@ -655,7 +652,7 @@ class QuadraticField(Field):
         return tuple([(r // g, s // g) for r, s in vec]), den // g
 
     def _drop(self, acc, den):
-        zero = self._zero.raw
+        zero = self.zero.raw
         if acc == (0, 0):
             return zero
         r, s = acc
@@ -722,12 +719,6 @@ class QuadraticField(Field):
 
     def grammar_token(self):
         return f"q[sqrt{self.d}]"
-
-    def __eq__(self, other):
-        return isinstance(other, QuadraticField) and other.d == self.d
-
-    def __hash__(self):
-        return hash(("quad", self.d))
 
     def __str__(self):
         return f"Q(sqrt{self.d})"

@@ -1,5 +1,5 @@
 """Exhaustive and sampled censuses of potency classes over Z/p coefficients,
-plus the norm-zero witness search that separates split from division algebras.
+plus the norm-zero witness that certifies an algebra is split.
 
 Census classification never multiplies full elements: in a quadratic
 algebra x^2 = t(x) x - n(x), so the powers of a non-scalar x live in the
@@ -9,14 +9,15 @@ on its scalar part x0, its norm n(x) = w0 x0^2 + q(tail) and whether its
 tail is zero.  ``potency._classify_plane`` runs it for ``classify`` too;
 the independent route is ``naive_potency`` in ``tests/helpers.py``.
 
-The exhaustive census therefore never visits the p^dim elements.  Suffix
-tables count, for each m, the coordinate tuples x_j..x_{dim-1} with
-sum w_i x_i^2 = m (a convolution of per-coordinate square counts); each
-pair (x0, m) is classified once and weighted by its number of tails; a
-greedy walk down the same tables gives the lexicographically first tail of
-each m, hence each class's smallest member.  The norm-zero witness is the
-same walk over all dim coordinates.  Both cost O(dim p^2) table work, plus
-O(p^2 max_k) recursion steps for the census.
+The exhaustive census therefore never visits the p^dim elements.  Since
+the weights w_i of the diagonal norm form are nonzero and p is odd, the
+number of tails x_j..x_{dim-1} with sum w_i x_i^2 = m has a closed form
+(``_tail_count``); each pair (x0, m) is classified once and weighted by its
+number of tails, and a greedy walk guided by the same counts gives the
+lexicographically first tail of each m, hence each class's smallest member.
+The norm-zero witness is the same walk over all dim coordinates.  The
+counts and the walks cost O(dim p) steps in all, plus O(p^2 max_k)
+recursion steps for the census.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from math import prod
 
-from .fields import PrimeField
+from .fields import PrimeField, _quadratic_character
 from .potency import DEFAULT_MAX_K, _check_max_k, _classify_plane
 from .rng import SplitMix64
 
@@ -61,49 +63,42 @@ def _require_prime_field(algebra) -> PrimeField:
     return algebra.field
 
 
-def _suffix_counts(p: int, weights) -> list:
-    """suffix[j][m] = #{(x_j, ..., x_last) : sum w_i x_i^2 = m (mod p)}.
-
-    suffix[len(weights)] counts the empty tuple, whose sum is 0.
-    """
-    table = [1] + [0] * (p - 1)
-    suffix = [table]
-    for w in reversed(weights):
-        squares = [0] * p
-        for c in range(p):
-            squares[w * c * c % p] += 1
-        acc = [0] * p
-        for s, mult in enumerate(squares):
-            if mult:
-                # shifted[m] = table[(m - s) % p]
-                shifted = table[p - s:] + table[:p - s]
-                acc = [a + mult * b for a, b in zip(acc, shifted)]
-        table = acc
-        suffix.append(table)
-    suffix.reverse()
-    return suffix
+def _tail_count(p: int, weights, j: int, m: int) -> int:
+    """#{(x_j, ..., x_last) : sum w_i x_i^2 = m (mod p)}, for n >= 1 nonzero
+    weights w_j..w_last and odd p, in closed form (Lidl and Niederreiter,
+    Finite Fields, Thm 6.26 for even n, Thm 6.27 for odd n)."""
+    n = len(weights) - j
+    h = n // 2
+    det = prod(weights[j:])
+    if n % 2:
+        return p ** (n - 1) + p ** h * _quadratic_character((-1) ** h * m * det, p)
+    v = p - 1 if m % p == 0 else -1
+    return p ** (n - 1) + v * p ** (h - 1) * _quadratic_character((-1) ** h * det, p)
 
 
-def _lex_first(p: int, weights, suffix, start: int, target: int, nonzero: bool):
+def _lex_first(field: PrimeField, weights, start: int, target: int, nonzero: bool):
     """The lexicographically first (x_start, ..., x_last) with
-    sum w_i x_i^2 = target (mod p), nonzero if asked, or None.
+    sum w_i x_i^2 = target (mod p), nonzero if asked.  One exists when three
+    or more coordinates are given (Chevalley-Warning for target 0), as for
+    a tail and for the whole norm form.
 
-    Greedy: each coordinate takes the smallest value whose remainder the
-    suffix table says is still reachable (by a nonzero tuple, while the
-    prefix is zero and a nonzero result is required).
+    Greedy: each coordinate but the last takes the smallest value whose
+    remainder ``_tail_count`` says is still reachable (by a nonzero tuple,
+    while the prefix is zero and a nonzero result is required); a remainder
+    is unreachable only when one or two coordinates are left, so a few
+    values suffice.  The last coordinate is the least root of target / w_last.
     """
-    if suffix[start][target] - (nonzero and target == 0) <= 0:
-        return None
+    p, last = field.p, len(weights) - 1
     coords = []
-    for j in range(start, len(weights)):
-        rest = suffix[j + 1]
+    for j in range(start, last):
         for c in range(p):
             r = (target - weights[j] * c * c) % p
-            if rest[r] - (nonzero and c == 0 and r == 0) > 0:
+            if _tail_count(p, weights, j + 1, r) - (nonzero and c == 0 and r == 0) > 0:
                 break
         coords.append(c)
         target = r
         nonzero = nonzero and c == 0
+    coords.append(field._sqrt(target * field._inv(weights[last]) % p))
     return tuple(coords)
 
 
@@ -143,15 +138,12 @@ def search_exhaustive(algebra, max_k: int = DEFAULT_MAX_K) -> list:
             f"{EXHAUSTIVE_BUDGET}; use search_sample"
         )
     weights = algebra._norm_raw
-    suffix = _suffix_counts(p, weights)
-    tail_counts = suffix[1]
     zero_tail = (0,) * (len(weights) - 1)
     # (norm, count, lex-first member) of the nonzero tails, per tail norm
-    tails = []
-    for m in range(p):
-        first = _lex_first(p, weights, suffix, 1, m, True)
-        if first is not None:
-            tails.append((m, tail_counts[m] - (m == 0), first))
+    tails = [
+        (m, _tail_count(p, weights, 1, m) - (m == 0), _lex_first(field, weights, 1, m, True))
+        for m in range(p)
+    ]
     census: dict = {}
     for x0 in range(p):
         x0_norm = weights[0] * x0 * x0
@@ -197,24 +189,16 @@ def search_sample(algebra, budget: int, seed: int, max_k: int = DEFAULT_MAX_K) -
 
 
 def split_witness(algebra):
-    """The lexicographically first nonzero element of norm zero, or None.
+    """The lexicographically first nonzero element of norm zero.
 
-    A witness certifies the algebra is split; None certifies it is a
-    division algebra.  The witness is read off the suffix tables of the
-    norm form by the same greedy walk that picks census samples; by
-    Chevalley-Warning one always exists over F_p for dim >= 3.  Refused
-    with SearchBudgetError when dim * p^2 exceeds EXHAUSTIVE_BUDGET.
+    The witness certifies that the algebra is split.  By Chevalley-Warning
+    one always exists over F_p, so every H(a,b) and O(a,b,c) over F_p is
+    split.  It is read off the closed-form counts of the norm form by the
+    same greedy walk that picks census samples, in a few steps for any
+    p < 2^64.
     """
     field = _require_prime_field(algebra)
-    p, dim = field.p, algebra.dim
-    if dim * p * p > EXHAUSTIVE_BUDGET:
-        raise SearchBudgetError(
-            f"{dim} * p^2 = {dim * p * p} exceeds the witness budget "
-            f"{EXHAUSTIVE_BUDGET}"
-        )
-    weights = algebra._norm_raw
-    coords = _lex_first(p, weights, _suffix_counts(p, weights), 0, 0, True)
-    return None if coords is None else algebra.element(coords)
+    return algebra.element(_lex_first(field, algebra._norm_raw, 0, 0, True))
 
 
 def census_to_csv(rows) -> str:

@@ -2,12 +2,13 @@
 
 The oracle classifies by literal repeated element multiplication and is the
 slow, independent route that census results are checked against.  The
-brute-force census and witness scans below walk every coordinate tuple and
-are the oracles for the norm-distribution routes in kpotent.search.  The
-hand-transcribed representation matrices and the per-term schoolbook
-products are the literal-definition oracles for the table-derived maps and
-the lazy-reduction kernel; the maps of the basis elements also fix every
-entry of the basis tables that kpotent.algebra derives by doubling.
+brute-force census, tail-count and witness scans below walk every
+coordinate tuple and are the oracles for the norm-distribution routes in
+kpotent.search.  The hand-transcribed representation matrices and the
+per-term schoolbook products are the literal-definition oracles for the
+table-derived maps and the lazy-reduction kernel; the maps of the basis
+elements also fix every entry of the basis tables that kpotent.algebra
+derives by doubling.
 """
 
 import random
@@ -124,6 +125,16 @@ def brute_witness(algebra):
         if n % p == 0 and any(coords):
             return coords
     return None
+
+
+def brute_tail_counts(p, weights):
+    """[#{x : sum w_i x_i^2 = m (mod p)} for m in range(p)], by visiting
+    every coordinate tuple."""
+    counts = [0] * p
+    # one term w_i x_i^2 per coordinate value, so each tuple is one sum
+    for terms in product(*[[w * c * c for c in range(p)] for w in weights]):
+        counts[sum(terms) % p] += 1
+    return counts
 
 
 def field_by_token(token):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +364,33 @@ def test_params_arity_checked(capsys):
         "--params", "-1,-1", "--coords", "1,0,0,0,0,0,0,0",
     )
     assert code == 1 and "three parameters" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paper-report"],   # larger than the stdout buffer: print writes
+        ["verify", "--field", "f5", "--params", "-1,-1", "--coords", "2,3,1,3"],
+    ],
+    ids=["paper-report", "verify"],
+)
+def test_closed_stdout_is_one_error_line(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader before the child starts: every write fails
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "kpotent", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == (
+        "error: broken pipe: stdout was closed before the output was written\n"
+    )
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

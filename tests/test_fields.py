@@ -17,6 +17,7 @@ from kpotent import (
     RationalField,
     parse_field,
 )
+from kpotent.fields import _quadratic_character
 
 from helpers import ALL_FIELD_TOKENS, field_by_token, least_roots
 
@@ -53,6 +54,15 @@ def test_field_equality_and_hash():
     assert QuadraticField(2) != QuadraticField(3)
     assert RationalField() == RationalField()
     assert len({PrimeField(5), PrimeField(5), QuadraticField(2)}) == 2
+    # one identity, the grammar token, across the three kinds of field
+    fields = [parse_field(t) for t in ("f5", "f7", "q", "q[sqrt2]", "q[sqrt3]")]
+    for i, f in enumerate(fields):
+        for j, g in enumerate(fields):
+            assert (f == g) == (i == j) and (f != g) == (i != j)
+        assert f == parse_field(f.grammar_token())
+        assert hash(f) == hash(parse_field(f.grammar_token()))
+        assert f != f.grammar_token()
+    assert PrimeField(5).zero == 0 and PrimeField(5).one == 1
 
 
 def test_parse_field_grammar():
@@ -181,6 +191,14 @@ def test_sqrt_matches_scan_on_every_residue(p):
                 field.element(x).sqrt()
         else:
             assert field.element(x).sqrt().raw == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97])
+def test_quadratic_character_matches_squares(p):
+    squares = {x * x % p for x in range(1, p)}
+    assert [_quadratic_character(x, p) for x in range(-p, 2 * p)] == [
+        0 if x % p == 0 else (1 if x % p in squares else -1) for x in range(-p, 2 * p)
+    ]
 
 
 @pytest.mark.parametrize("p", [1048573, 1048571, 1048559, 786433])

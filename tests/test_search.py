@@ -20,9 +20,15 @@ from kpotent import (
     search_sample,
     split_witness,
 )
-from kpotent.search import _suffix_counts
+from kpotent.search import _tail_count
 
-from helpers import brute_census, brute_witness, naive_census, replayed_sample_census
+from helpers import (
+    brute_census,
+    brute_tail_counts,
+    brute_witness,
+    naive_census,
+    replayed_sample_census,
+)
 
 # Frozen exhaustive censuses, computed with the naive repeated-multiplication
 # oracle before the search module existed and cross-checked against the
@@ -160,34 +166,17 @@ def test_quaternion_census_sweep_matches_brute_force(p, a, b, max_k):
     assert search_exhaustive(alg, max_k) == brute_census(alg, max_k)
 
 
-def _eta(a, p):
-    """Quadratic character of a mod p (0 on 0)."""
-    a %= p
-    return 0 if a == 0 else (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
-
-
-def _closed_form_count(weights, b, p):
-    """Solutions of sum w_i x_i^2 = b over F_p (Lidl-Niederreiter 6.26/6.27)."""
-    n = len(weights)
-    det = 1
-    for w in weights:
-        det = det * w % p
-    if n % 2:
-        return p ** (n - 1) + p ** ((n - 1) // 2) * _eta((-1) ** ((n - 1) // 2) * b * det, p)
-    v = p - 1 if b % p == 0 else -1
-    return p ** (n - 1) + v * p ** ((n - 2) // 2) * _eta((-1) ** (n // 2) * det, p)
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
 def test_suffix_counts_match_closed_forms(p):
-    for cls, params in ((QuatAlgebra, (-1, 2)), (OctAlgebra, (2, -1, -2))):
-        weights = cls(PrimeField(p), *params)._norm_raw
-        suffix = _suffix_counts(p, weights)
-        # the tail (3 or 7 variables, Thm 6.27) and the whole norm form
-        # (4 or 8 variables, Thm 6.26)
-        for start in (1, 0):
-            expected = [_closed_form_count(weights[start:], m, p) for m in range(p)]
-            assert suffix[start] == expected
+    algebras = [QuatAlgebra(PrimeField(p), a, b) for a, b in ((-1, 2), (2, 2))]
+    if p <= 5:
+        algebras.append(OctAlgebra(PrimeField(p), 2, -1, -2))
+    for alg in algebras:
+        weights = alg._norm_raw
+        # every suffix x_j..x_last of the norm form, down to one variable
+        for j in range(len(weights)):
+            expected = brute_tail_counts(p, weights[j:])
+            assert [_tail_count(p, weights, j, m) for m in range(p)] == expected
 
 
 def test_octonion_f97_census_is_fast():
@@ -319,9 +308,16 @@ def test_split_witness_beyond_old_scan_budget():
         assert w.norm().is_zero and not w.is_zero
 
 
-def test_split_witness_budget():
-    with pytest.raises(SearchBudgetError):
-        split_witness(OctAlgebra(PrimeField(3547), -1, -1, -1))
+def test_split_witness_any_word_size_prime():
+    # no witness budget: the greedy walk takes a few steps at any p < 2^64
+    for p in (2 ** 61 - 1, 2 ** 64 - 2 ** 32 + 1, 18446744073709551557):
+        field = PrimeField(p)
+        for alg in (QuatAlgebra(field, -1, -1), QuatAlgebra(field, 3, 5),
+                    OctAlgebra(field, 2, 3, 5)):
+            start = time.perf_counter()
+            w = split_witness(alg)
+            assert time.perf_counter() - start < 1.0
+            assert w.norm().is_zero and not w.is_zero
 
 
 def test_split_witness_every_odd_prime_quaternion():

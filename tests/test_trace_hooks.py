@@ -1,7 +1,8 @@
 """The benchmark's tracer (``perfbench/spans.py``) wraps kpotent callables
 by name, where their callers look them up.  A name that moves would make
-every traced benchmark run fail, so one traced request is run here and the
-program is checked to be left exactly as it was found."""
+every traced benchmark run fail, so traced requests are run here: one of
+each subcommand must record every span the benchmark's layer metrics read,
+and the program must be left exactly as it was found."""
 
 import importlib.util
 from pathlib import Path
@@ -60,3 +61,45 @@ def test_tracer_hooks_resolve_and_are_restored(capsys):
     assert SquareMatrix.__mul__ is SquareMatrix.__matmul__ is Lifted.__mul__
     assert cli.classify is potency.classify
     assert report.left_rep is cli.left_rep is represent.left_rep
+
+
+# one request of each subcommand, shaped like the benchmark's workloads
+REQUESTS = [
+    ["verify", "--field", "f13", "--algebra", "oct", "--params", "-1,-1,-1",
+     "--coords", "2,1,0,3,0,0,4,1", "--matrices", "--format", "json"],
+    ["rep", "--field", "q[sqrt2]", "--params", "1,-1", "--coords", "1,1/2,0,1s",
+     "--rep", "rho"],
+    ["generate", "rotor", "--k", "5", "--direction", "1,0,0", "--field", "q[sqrt5]",
+     "--format", "json"],
+    ["generate", "idempotent", "--field", "q", "--params", "1,1",
+     "--direction", "1,1,1"],
+    ["search", "--field", "f11", "--params", "2,3", "--format", "csv"],
+    ["search", "--field", "f5", "--algebra", "oct", "--params", "-1,-1,-1",
+     "--mode", "sample", "--budget", "200", "--seed", "7", "--format", "csv"],
+    ["paper-report", "--format", "json"],
+]
+
+# the span names that perfbench/spans.py's layer_metrics reads
+LAYER_SPANS = (
+    "cli", "fields.parse", "algebra.mul", "represent.rep", "represent.matmul",
+    "represent.block_check", "potency.classify", "potency.generate",
+    "search.exhaustive", "search.sample", "rng.below", "report",
+)
+
+
+def test_every_subcommand_records_every_layer_span():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    spans.install(tracer, kpotent)
+    try:
+        codes = [cli.main(argv) for argv in REQUESTS]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(REQUESTS)
+    calls, _ = tracer.layers()
+    assert set(tracer.names) == set(LAYER_SPANS)
+    assert {name for name in LAYER_SPANS if not calls.get(name)} == set()
+    metrics = spans.layer_metrics(tracer, 1.0)
+    for name in ("search.exhaustive.elements", "search.sample.draws",
+                 "algebra.cd_mul.calls", "fields.elem_ops", "report.findings"):
+        assert metrics[name] > 0, name
