@@ -205,6 +205,13 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def print_help(self, file=None):
+        # argparse drops a failed write, and a buffered one fails only at
+        # exit; write and flush here so that a closed stdout reaches main
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -262,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         # flush here rather than at exit, so that a closed stdout lands below
         sys.stdout.flush()

@@ -427,10 +427,11 @@ class PrimeField(Field):
         p = int(p)
         if p == 2:
             raise ValueError("characteristic two is not supported")
+        # first: the primality test is exact only below 2^64
+        if p >= MAX_PRIME:
+            raise ValueError(f"modulus {p} does not fit a 64-bit word")
         if p < 3 or not _is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
-        if p >= MAX_PRIME:
-            raise ValueError(f"prime {p} does not fit a 64-bit word")
         self.p = p
         self._init_constants()
 

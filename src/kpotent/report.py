@@ -1,12 +1,16 @@
 """Stable, versioned report on which classically quoted identities for the
 representation maps actually hold, regime by regime.
 
-Each finding is decided once: its law is checked on every tuple of basis
-elements, then on a fixed seeded random sample of tuples (``evidence``
-selects either route or both), and the first counterexample, if any, is
-the finding's detail.  The report is fully deterministic.  Disagreement
-with a quoted identity is recorded as data (the whole point of the report),
-never raised.
+One routine decides every law and block-form finding.  A suite names one
+or more identifiers and one check that gives a verdict for each of them on
+a case; the cases are every tuple of basis elements, then a fixed seeded
+random sample of tuples (``evidence`` selects either route or both).  A
+suite decides its identifiers together, and each identifier's first
+counterexample, if any, is its finding's detail.  A law is a suite of one
+identifier; the four octonion block forms are one suite, decided by one
+``block_check`` per element.  The regime algebras are built once per
+report.  The report is fully deterministic.  Disagreement with a quoted
+identity is recorded as data (the whole point of the report), never raised.
 """
 
 from __future__ import annotations
@@ -80,22 +84,6 @@ def _counterexample(case) -> str:
     return "counterexample " + " ".join(f"{name}={v}" for name, v in zip("xy", case))
 
 
-def _law(check, arity, algebra, evidence, seed):
-    """Verdict plus first counterexample (as element literals) for a law of
-    `arity` elements."""
-    for case in _cases(algebra, arity, evidence, seed):
-        if not check(*case):
-            return "fails", _counterexample(case)
-    return "holds", ""
-
-
-def _law_findings(kind, arity, checks, evidence):
-    for ident, check in checks:
-        for regime, alg in _algebras(kind):
-            seed = _seed_stable(ident, regime)
-            yield _finding(ident, regime, *_law(check, arity, alg, evidence, seed))
-
-
 def _seed_stable(ident: str, regime: str) -> int:
     # builtin hash() is salted per process; derive a stable seed from bytes
     data = f"{ident}|{regime}".encode()
@@ -105,89 +93,85 @@ def _seed_stable(ident: str, regime: str) -> int:
     return h ^ _BASE_SEED
 
 
-_PAIR_CHECKS_QUAT = (
-    (
-        "quat-left-map-multiplicative",
-        lambda x, y: left_rep(x * y) == left_rep(x) * left_rep(y),
-    ),
-    (
-        "quat-right-map-direct-order",
-        lambda x, y: right_rep(x * y) == right_rep(x) * right_rep(y),
-    ),
-    (
-        "quat-right-map-reversed-order",
-        lambda x, y: right_rep(x * y) == right_rep(y) * right_rep(x),
-    ),
+def _suite_findings(suite, algebras, evidence: str):
+    """Decide a suite in every regime of its kind: one `verdicts(*case)`
+    per case gives a verdict per identifier, each identifier keeps its
+    first failing case as the counterexample, and the walk stops once
+    every identifier has failed."""
+    kind, arity, seed_name, idents, verdicts = suite
+    for regime, alg in algebras[kind]:
+        failed = {}
+        for case in _cases(alg, arity, evidence, _seed_stable(seed_name, regime)):
+            for ident, ok in zip(idents, verdicts(*case)):
+                if not ok and ident not in failed:
+                    failed[ident] = _counterexample(case)
+            if len(failed) == len(idents):
+                break
+        for ident in idents:
+            detail = failed.get(ident, "")
+            yield _finding(ident, regime, "fails" if detail else "holds", detail)
+
+
+def _law_suite(kind: str, arity: int, ident: str, check):
+    """A suite of one identifier, seeded by that identifier."""
+    return kind, arity, ident, (ident,), lambda *case: (check(*case),)
+
+
+def _on_both_maps(law):
+    """A law of `rep` that must hold for both the left and the right map."""
+    return lambda *case: law(left_rep, *case) and law(right_rep, *case)
+
+
+def _block_forms(x):
+    checked = block_check(x)
+    return (
+        checked.left_classical_agrees,
+        checked.right_classical_agrees,
+        checked.left_parametric_agrees,
+        checked.right_parametric_agrees,
+    )
+
+
+_CONJUGATE_TRANSPOSE = _on_both_maps(
+    lambda rep, x: rep(x.conjugate()) == rep(x).transpose()
 )
 
-_SINGLE_CHECKS_QUAT = (
+# every law and block-form suite, in report order
+_SUITES = (
+    _law_suite("quat", 2, "quat-left-map-multiplicative",
+               lambda x, y: left_rep(x * y) == left_rep(x) * left_rep(y)),
+    _law_suite("quat", 2, "quat-right-map-direct-order",
+               lambda x, y: right_rep(x * y) == right_rep(x) * right_rep(y)),
+    _law_suite("quat", 2, "quat-right-map-reversed-order",
+               lambda x, y: right_rep(x * y) == right_rep(y) * right_rep(x)),
+    _law_suite("quat", 1, "quat-conjugate-transpose-law", _CONJUGATE_TRANSPOSE),
+    _law_suite("quat", 1, "quat-inverse-law",
+               lambda x: x.norm().is_zero
+               or left_rep(x) * left_rep(x.inverse()) == left_rep(x.algebra.one)),
+    _law_suite("oct", 1, "oct-conjugate-transpose-law", _CONJUGATE_TRANSPOSE),
+    _law_suite("oct", 1, "oct-square-law",
+               _on_both_maps(lambda rep, x: rep(x * x) == rep(x) ** 2)),
     (
-        "quat-conjugate-transpose-law",
-        lambda x: left_rep(x.conjugate()) == left_rep(x).transpose()
-        and right_rep(x.conjugate()) == right_rep(x).transpose(),
-    ),
-    (
-        "quat-inverse-law",
-        lambda x: x.norm().is_zero
-        or (
-            left_rep(x) * left_rep(x.inverse())
-            == left_rep(x.algebra.one)
+        "oct", 1, "oct-block-forms",
+        (
+            "oct-left-block-form-classical",
+            "oct-right-block-form-classical",
+            "oct-left-block-form-parametric",
+            "oct-right-block-form-parametric",
         ),
+        _block_forms,
     ),
-)
-
-_SINGLE_CHECKS_OCT = (
-    (
-        "oct-conjugate-transpose-law",
-        lambda x: left_rep(x.conjugate()) == left_rep(x).transpose()
-        and right_rep(x.conjugate()) == right_rep(x).transpose(),
-    ),
-    (
-        "oct-square-law",
-        lambda x: left_rep(x * x) == left_rep(x) ** 2
-        and right_rep(x * x) == right_rep(x) ** 2,
-    ),
-)
-
-_BLOCK_FORM_IDENTS = (
-    ("oct-left-block-form-classical", "left_classical_agrees"),
-    ("oct-right-block-form-classical", "right_classical_agrees"),
-    ("oct-left-block-form-parametric", "left_parametric_agrees"),
-    ("oct-right-block-form-parametric", "right_parametric_agrees"),
+    _law_suite("oct", 2, "oct-sandwich-law",
+               _on_both_maps(lambda rep, x, y:
+                             rep(x * (y * x)) == rep(x) * rep(y) * rep(x))),
+    _law_suite("oct", 2, "oct-table-vs-doubling",
+               lambda x, y: x * y == cd_double_mul(x, y)),
 )
 
 
-def _block_form_findings(evidence: str):
-    # one block_check per element decides all four block-form findings
-    for regime, alg in _algebras("oct"):
-        seed = _seed_stable("oct-block-forms", regime)
-        outcomes = {ident: ("holds", "") for ident, _ in _BLOCK_FORM_IDENTS}
-        for case in _cases(alg, 1, evidence, seed):
-            checked = block_check(*case)
-            for ident, attr in _BLOCK_FORM_IDENTS:
-                if outcomes[ident][0] == "holds" and not getattr(checked, attr):
-                    outcomes[ident] = ("fails", _counterexample(case))
-        for ident, _ in _BLOCK_FORM_IDENTS:
-            yield _finding(ident, regime, *outcomes[ident])
-
-_PAIR_CHECKS_OCT = (
-    (
-        "oct-sandwich-law",
-        lambda x, y: left_rep(x * (y * x)) == left_rep(x) * left_rep(y) * left_rep(x)
-        and right_rep(x * (y * x)) == right_rep(x) * right_rep(y) * right_rep(x),
-    ),
-    (
-        "oct-table-vs-doubling",
-        lambda x, y: x * y == cd_double_mul(x, y),
-    ),
-)
-
-
-def _erratum_findings():
+def _erratum_findings(algebras):
     # the quoted norm of the F5 showcase element does not match the norm form
-    field = parse_field("f5")
-    alg = QuatAlgebra(field, field.parse("-1"), field.parse("-1"))
-    x = alg.element((2, 3, 1, 3))
+    x = dict(algebras["quat"])["H(-1,-1)/f5"].element((2, 3, 1, 3))
     computed = str(x.norm())
     verdict = "matches" if computed == "1" else "differs"
     yield _finding(
@@ -199,7 +183,7 @@ def _erratum_findings():
     # the doubled-basis diagonal entry that is normalized to the first
     # parameter: f1*f1 = a, cross-checked against the doubling product
     ok = True
-    for label, oct_alg in _algebras("oct"):
+    for _, oct_alg in algebras["oct"]:
         f1 = oct_alg.basis_element(1)
         ok = ok and (f1 * f1 == oct_alg.one.scale(oct_alg.a))
         ok = ok and (cd_double_mul(f1, f1) == f1 * f1)
@@ -223,14 +207,10 @@ def discrepancy_report(evidence: str = "both") -> dict:
     """
     if evidence not in ("basis", "random", "both"):
         raise ValueError(f"unknown evidence route {evidence!r}")
-    findings = [
-        *_law_findings("quat", 2, _PAIR_CHECKS_QUAT, evidence),
-        *_law_findings("quat", 1, _SINGLE_CHECKS_QUAT, evidence),
-        *_law_findings("oct", 1, _SINGLE_CHECKS_OCT, evidence),
-        *_block_form_findings(evidence),
-        *_law_findings("oct", 2, _PAIR_CHECKS_OCT, evidence),
-        *_erratum_findings(),
-    ]
+    algebras = {kind: list(_algebras(kind)) for kind in _KINDS}
+    findings = [f for suite in _SUITES
+                for f in _suite_findings(suite, algebras, evidence)]
+    findings += _erratum_findings(algebras)
     return {
         "version": REPORT_VERSION,
         "findings": findings,

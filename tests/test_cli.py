@@ -367,17 +367,25 @@ def test_params_arity_checked(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, unbuffered",
     [
-        ["paper-report"],   # larger than the stdout buffer: print writes
-        ["verify", "--field", "f5", "--params", "-1,-1", "--coords", "2,3,1,3"],
+        (["paper-report"], False),   # larger than the stdout buffer: print writes
+        (["verify", "--field", "f5", "--params", "-1,-1", "--coords", "2,3,1,3"], False),
+        # argparse drops a failed help write when stdout is unbuffered
+        (["--help"], False),
+        (["--help"], True),
+        (["verify", "--help"], False),
+        (["verify", "--help"], True),
     ],
-    ids=["paper-report", "verify"],
+    ids=["paper-report", "verify", "help", "help-unbuffered", "verify-help",
+         "verify-help-unbuffered"],
 )
-def test_closed_stdout_is_one_error_line(argv):
+def test_closed_stdout_is_one_error_line(argv, unbuffered):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader before the child starts: every write fails
     try:

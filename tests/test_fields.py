@@ -35,9 +35,16 @@ def test_char_two_rejected():
         PrimeField(2)
 
 
-@pytest.mark.parametrize("p", [0, 1, 4, 9, 15, 2**64 + 13])
-def test_bad_primes_rejected(p):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "p, message",
+    [pytest.param(p, "is not an odd prime", id=str(p)) for p in (0, 1, 4, 9, 15)]
+    # 3317044064679887385961981 is a composite that passes every witness of
+    # the primality test, which is exact only below 2^64
+    + [pytest.param(p, "^modulus .* does not fit a 64-bit word$", id=str(p))
+       for p in (2**64 + 13, 3317044064679887385961981)],
+)
+def test_bad_primes_rejected(p, message):
+    with pytest.raises(ValueError, match=message):
         PrimeField(p)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,6 +6,8 @@ import pytest
 
 from kpotent import REPORT_VERSION, discrepancy_report
 from kpotent.report import render_csv, render_json, render_text
+
+FROZEN = Path(__file__).resolve().parent.parent / "perfbench" / "report_v1.json"
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +34,13 @@ def test_basis_and_random_evidence_agree(report):
     assert key(basis) == key(rand) == [
         (f["id"], f["regime"], f["verdict"]) for f in report["findings"]
     ]
+    # each route's counterexamples and details are pinned too: the basis
+    # route finds the same first counterexamples as "both", and the random
+    # route's bytes are pinned by their SHA-256
+    assert (render_json(basis) + "\n").encode() == FROZEN.read_bytes()
+    assert hashlib.sha256((render_json(rand) + "\n").encode()).hexdigest() == (
+        "12e95e781848132ceaea8b3b224e8b2ad5566d1b9f296cd6bf62ac1edb74ce31"
+    )
 
 
 def test_left_map_multiplicative_everywhere(report):
@@ -107,8 +117,7 @@ def test_renderers(report):
 def test_json_matches_frozen_report_v1(report):
     # the benchmark's frozen copy of report v1: every verdict, first
     # counterexample and detail string, byte for byte
-    frozen = Path(__file__).resolve().parent.parent / "perfbench" / "report_v1.json"
-    assert (render_json(report) + "\n").encode() == frozen.read_bytes()
+    assert (render_json(report) + "\n").encode() == FROZEN.read_bytes()
 
 
 def test_bad_evidence_route_rejected():
