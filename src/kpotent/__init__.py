@@ -14,7 +14,6 @@ from .algebra import (
     QuatAlgebra,
     Quaternion,
     cd_double_mul,
-    quadratic_identity_holds,
 )
 from .fields import (
     FieldElement,
@@ -32,7 +31,6 @@ from .potency import (
     GenerationError,
     PotencyReport,
     classify,
-    demoivre_power_check,
     rotor_generate,
     split_generate,
 )
@@ -85,11 +83,9 @@ __all__ = [
     "census_to_csv",
     "census_to_json",
     "classify",
-    "demoivre_power_check",
     "discrepancy_report",
     "left_rep",
     "parse_field",
-    "quadratic_identity_holds",
     "right_rep",
     "rotor_generate",
     "search_exhaustive",

@@ -282,6 +282,7 @@ class AlgebraElement(Lifted):
         return self.conjugate().scale(self.norm().inv())
 
     def satisfies_quadratic_identity(self) -> bool:
+        """x^2 - t(x) x + n(x) = 0, which every element must satisfy."""
         lhs = self * self - self.scale(self.trace()) + self.algebra.one.scale(self.norm())
         return lhs.is_zero
 
@@ -335,8 +336,3 @@ def cd_double_mul(x: Octonion, y: Octonion) -> Octonion:
     second = ypp * xp + xpp * yp.conjugate()
     (u, v), den = alg.field._common((first.ents, first.den), (second.ents, second.den))
     return alg._from_lifted([*u, *v], den)
-
-
-def quadratic_identity_holds(x: AlgebraElement) -> bool:
-    """Self-test hook: x^2 - t(x) x + n(x) = 0 must hold for every element."""
-    return x.satisfies_quadratic_identity()

@@ -6,6 +6,12 @@ reduced fraction, reduced coordinate pair), so structural equality is field
 equality and elements can be hashed, shared between threads, and compared
 freely.  Nothing here ever touches floating point.
 
+A field stores its grammar token (``f13``, ``q``, ``q[sqrt2]``), display
+name and repr once, when it is built, and is compared and hashed by the
+token.  One routine, ``_operator``, builds ``FieldElement``'s ``+ - * /``
+and their reflected forms: it coerces the other operand to a raw value of
+the field, as ``==`` does, and combines the two raws.
+
 Each field also carries a private kernel for vectors of its values in
 lifted form: integers over one shared denominator.  Algebra elements and
 matrices are stored this way, as subclasses of ``Lifted`` (see below);
@@ -141,20 +147,39 @@ def _rational_sqrt(x: Fraction):
     return None
 
 
-def _power(one, base, n: int, mul):
-    """base**n for n >= 0 by square-and-multiply: one squaring per bit of n.
+def _power(base, n: int, mul):
+    """base**n for n >= 1 by square-and-multiply, seeded with the lowest set
+    bit's factor: bitlen(n) - 1 squarings and popcount(n) - 1 products.
 
     Scalars pass their field's raw product; ``Lifted.__pow__`` passes
     ``operator.mul``, so each product goes through ``__mul__``.
     """
-    out = one
+    while not n & 1:
+        base = mul(base, base)
+        n >>= 1
+    out = base
+    n >>= 1
     while n:
+        base = mul(base, base)
         if n & 1:
             out = mul(out, base)
         n >>= 1
-        if n:
-            base = mul(base, base)
     return out
+
+
+def _operator(combine):
+    """The one routine behind FieldElement's binary operators: the other
+    operand is coerced to a raw value of the field, then
+    ``combine(field, own raw, other raw)`` gives the raw of the result."""
+
+    def op(self, other):
+        field = self.field
+        raw = field._coerce_raw(other)
+        if raw is NotImplemented:
+            return NotImplemented
+        return FieldElement(field, combine(field, self.raw, raw))
+
+    return op
 
 
 class FieldElement:
@@ -168,45 +193,12 @@ class FieldElement:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
-        raw = self.field._coerce_raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._add(self.raw, raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        raw = self.field._coerce_raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._add(self.raw, self.field._neg(raw)))
-
-    def __rsub__(self, other):
-        raw = self.field._coerce_raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._add(raw, self.field._neg(self.raw)))
-
-    def __mul__(self, other):
-        raw = self.field._coerce_raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.raw, raw))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        raw = self.field._coerce_raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.raw, self.field._inv(raw)))
-
-    def __rtruediv__(self, other):
-        raw = self.field._coerce_raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul(raw, self.field._inv(self.raw)))
+    __add__ = __radd__ = _operator(lambda f, x, y: f._add(x, y))
+    __sub__ = _operator(lambda f, x, y: f._add(x, f._neg(y)))
+    __rsub__ = _operator(lambda f, x, y: f._add(y, f._neg(x)))
+    __mul__ = __rmul__ = _operator(lambda f, x, y: f._mul(x, y))
+    __truediv__ = _operator(lambda f, x, y: f._mul(x, f._inv(y)))
+    __rtruediv__ = _operator(lambda f, x, y: f._mul(y, f._inv(x)))
 
     def __neg__(self):
         return FieldElement(self.field, self.field._neg(self.raw))
@@ -215,8 +207,10 @@ class FieldElement:
         if not isinstance(n, int):
             return NotImplemented
         field = self.field
-        base = (self if n >= 0 else self.inv()).raw
-        return FieldElement(field, _power(field.one.raw, base, abs(n), field._mul))
+        if n == 0:
+            return field.one
+        base = (self if n > 0 else self.inv()).raw
+        return FieldElement(field, _power(base, abs(n), field._mul))
 
     def inv(self) -> "FieldElement":
         return FieldElement(self.field, self.field._inv(self.raw))
@@ -244,12 +238,8 @@ class FieldElement:
             return self.raw == other.raw and (
                 self.field is other.field or self.field == other.field
             )
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            try:
-                return self.raw == self.field._canon(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-        return NotImplemented
+        raw = self.field._coerce_raw(other)
+        return raw if raw is NotImplemented else self.raw == raw
 
     def __hash__(self):
         return hash((self.field, self.raw))
@@ -313,9 +303,11 @@ class Lifted:
             return NotImplemented
         if n < 0:
             raise ValueError(self._negative_power)
+        if n == 0:
+            return self._one()
         # square-and-multiply needs only power-associativity, which octonions
         # have: they are alternative (Artin's theorem)
-        return _power(self._one(), self, n, mul)
+        return _power(self, n, mul)
 
     def scale(self, factor):
         field = self.field
@@ -377,21 +369,28 @@ class Field:
                 return NotImplemented
         return NotImplemented
 
-    def _init_constants(self):
+    def _init_field(self, token: str, name: str, rep: str):
+        # a field is named uniquely by its grammar token (f13, q, q[sqrt2])
+        self._token, self._name, self._repr = token, name, rep
         self.zero = FieldElement(self, self._canon(0))
         self.one = FieldElement(self, self._canon(1))
         # the lifted zero and one entries: 0 and 1, or (0, 0) and (1, 0)
         (self._nil, self._unit), _ = self._lift([self.zero.raw, self.one.raw])
 
-    # a field is named uniquely by its grammar token (f13, q, q[sqrt2])
+    def grammar_token(self) -> str:
+        return self._token
+
+    def __str__(self):
+        return self._name
+
+    def __repr__(self):
+        return self._repr
 
     def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Field) and other.grammar_token() == self.grammar_token()
-        )
+        return self is other or (isinstance(other, Field) and other._token == self._token)
 
     def __hash__(self):
-        return hash(self.grammar_token())
+        return hash(self._token)
 
     # the kernel on integer entries (F_p, Q); Q(sqrt d) has its own for pairs
 
@@ -433,7 +432,7 @@ class PrimeField(Field):
         if p < 3 or not _is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
         self.p = p
-        self._init_constants()
+        self._init_field(f"f{p}", f"F{p}", f"PrimeField({p})")
 
     def _canon(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -502,21 +501,12 @@ class PrimeField(Field):
     def _random_raw(self, rng):
         return rng.randrange(self.p)
 
-    def grammar_token(self):
-        return f"f{self.p}"
-
-    def __str__(self):
-        return f"F{self.p}"
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
 
 class RationalField(Field):
     """The rationals with arbitrary-precision reduced fractions."""
 
     def __init__(self):
-        self._init_constants()
+        self._init_field("q", "Q", "RationalField()")
 
     def _canon(self, value):
         return _as_fraction(value)
@@ -565,15 +555,6 @@ class RationalField(Field):
     def _random_raw(self, rng):
         return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
 
-    def grammar_token(self):
-        return "q"
-
-    def __str__(self):
-        return "Q"
-
-    def __repr__(self):
-        return "RationalField()"
-
 
 class QuadraticField(Field):
     """Q(sqrt d) for a fixed squarefree d > 1; values are pairs r + s*sqrt(d)."""
@@ -590,7 +571,7 @@ class QuadraticField(Field):
                 raise ValueError(f"{d} is not squarefree")
             i += 1
         self.d = d
-        self._init_constants()
+        self._init_field(f"q[sqrt{d}]", f"Q(sqrt{d})", f"QuadraticField({d})")
 
     def _canon(self, value):
         if isinstance(value, (tuple, list)):
@@ -717,15 +698,6 @@ class QuadraticField(Field):
             Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
             Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
         )
-
-    def grammar_token(self):
-        return f"q[sqrt{self.d}]"
-
-    def __str__(self):
-        return f"Q(sqrt{self.d})"
-
-    def __repr__(self):
-        return f"QuadraticField({self.d})"
 
 
 def parse_field(text: str) -> Field:

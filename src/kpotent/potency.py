@@ -160,36 +160,6 @@ def rotor_generate(k: int, direction, algebra: QuatAlgebra) -> Quaternion:
     return _scaled_direction(algebra, field.element(cos_a), field.element(sin_sq), direction)
 
 
-def demoivre_power_check(algebra: QuatAlgebra, cos_coord, pure_coords, n: int) -> bool:
-    """Check that powers of x = cos + pure follow the angle-addition rule.
-
-    Both cos(m a) and sin(m a)/sin(a) obey the recursion
-    v(m+1) = 2 cos(a) v(m) - v(m-1); the check compares x^m computed by
-    repeated multiplication with cos(m a) + (sin(m a)/sin(a)) * pure for
-    every m <= n and reports whether they all agree.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    field = algebra.field
-    cos_a = field.element(cos_coord)
-    pure = tuple(field.element(p) for p in pure_coords)
-    if len(pure) != 3:
-        raise ValueError("pure part must have exactly 3 coordinates")
-    x = algebra.element((cos_a,) + pure)
-    two = field.element(2)
-    cos_prev, ratio_prev = field.one, field.zero     # m = 0
-    cos_cur, ratio_cur = cos_a, field.one            # m = 1
-    power = x
-    for m in range(2, n + 1):
-        power = power * x
-        cos_cur, cos_prev = two * cos_a * cos_cur - cos_prev, cos_cur
-        ratio_cur, ratio_prev = two * cos_a * ratio_cur - ratio_prev, ratio_cur
-        expected = algebra.element((cos_cur,) + tuple(ratio_cur * p for p in pure))
-        if power != expected:
-            return False
-    return True
-
-
 def split_generate(kind: str, algebra, direction) -> AlgebraElement:
     """Build an idempotent, tripotent or nilpotent element from a direction.
 

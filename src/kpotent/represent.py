@@ -273,8 +273,10 @@ def block_check(x: Octonion) -> BlockCheckReport:
     lpp_conj = left_rep(xpp.conjugate())
     rp_conj = right_rep(xp.conjugate())
 
-    left_classical = SquareMatrix.from_blocks(lp, -(rpp * sign), lpp * sign, rp)
-    left_parametric = SquareMatrix.from_blocks(lp, (rpp * sign).scale(c), lpp * sign, rp)
+    # both left forms share their block products
+    rpp_sign, lpp_sign = rpp * sign, lpp * sign
+    left_classical = SquareMatrix.from_blocks(lp, -rpp_sign, lpp_sign, rp)
+    left_parametric = SquareMatrix.from_blocks(lp, rpp_sign.scale(c), lpp_sign, rp)
     right_classical = SquareMatrix.from_blocks(rp, -lpp_conj, lp, rp_conj)
     right_parametric = SquareMatrix.from_blocks(rp, lpp_conj.scale(c), lpp, rp_conj)
 

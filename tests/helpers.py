@@ -1,10 +1,11 @@
 """Shared test utilities, including the naive classification oracle.
 
 The oracle classifies by literal repeated element multiplication and is the
-slow, independent route that census results are checked against.  The
-brute-force census, tail-count and witness scans below walk every
-coordinate tuple and are the oracles for the norm-distribution routes in
-kpotent.search.  The hand-transcribed representation matrices and the
+slow, independent route that census results are checked against;
+``demoivre_power_check`` checks powers of unit quaternions by the same
+literal multiplication against the angle-addition rule.  The brute-force
+census, tail-count and witness scans below walk every coordinate tuple and
+are the oracles for the norm-distribution routes in kpotent.search.  The hand-transcribed representation matrices and the
 per-term schoolbook products are the literal-definition oracles for the
 table-derived maps and the lazy-reduction kernel; the maps of the basis
 elements also fix every entry of the basis tables that kpotent.algebra
@@ -39,6 +40,36 @@ def naive_potency(x, max_k=64):
         if power.is_zero:
             return ("nilpotent", k)
     return ("none", max_k)
+
+
+def demoivre_power_check(algebra, cos_coord, pure_coords, n):
+    """Check that powers of x = cos + pure follow the angle-addition rule.
+
+    Both cos(m a) and sin(m a)/sin(a) obey the recursion
+    v(m+1) = 2 cos(a) v(m) - v(m-1); the check compares x^m computed by
+    repeated multiplication with cos(m a) + (sin(m a)/sin(a)) * pure for
+    every m <= n and reports whether they all agree.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    field = algebra.field
+    cos_a = field.element(cos_coord)
+    pure = tuple(field.element(p) for p in pure_coords)
+    if len(pure) != 3:
+        raise ValueError("pure part must have exactly 3 coordinates")
+    x = algebra.element((cos_a,) + pure)
+    two = field.element(2)
+    cos_prev, ratio_prev = field.one, field.zero     # m = 0
+    cos_cur, ratio_cur = cos_a, field.one            # m = 1
+    power = x
+    for m in range(2, n + 1):
+        power = power * x
+        cos_cur, cos_prev = two * cos_a * cos_cur - cos_prev, cos_cur
+        ratio_cur, ratio_prev = two * cos_a * ratio_cur - ratio_prev, ratio_cur
+        expected = algebra.element((cos_cur,) + tuple(ratio_cur * p for p in pure))
+        if power != expected:
+            return False
+    return True
 
 
 def naive_census(algebra, max_k=64):

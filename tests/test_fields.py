@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 import time
@@ -420,3 +421,105 @@ def test_zero_denominator_literals(rationals, qsqrt2, text):
 def test_zero_denominator_quadratic_parts(qsqrt2, text):
     with pytest.raises(ParseError, match="zero denominator"):
         qsqrt2.parse(text)
+
+
+
+# -- pinned operator semantics ------------------------------------------------
+# Each operator of a field element x against each kind of operand: an element
+# of the same field, int, Fraction, bool, float and an element of another
+# field.  An outcome is the repr of the result or the name of the exception.
+# "1==v" and "v==1" compare the field's one with operands of value 1 (the
+# other field's one last); "-x" and "x**n" (n = 0, 1, 5, -2) take no operand.
+
+SCALAR_OPS = {
+    "x+v": operator.add, "v+x": lambda x, v: v + x,
+    "x-v": operator.sub, "v-x": lambda x, v: v - x,
+    "x*v": operator.mul, "v*x": lambda x, v: v * x,
+    "x/v": operator.truediv, "v/x": lambda x, v: v / x,
+    "x==v": operator.eq,
+}
+
+_REJECTED = ("TypeError", "TypeError", "MixedFieldError")
+_UNEQUAL = ("False", "False", "False")
+
+PINNED_SCALARS = {
+    # token: (x, same-field operand, other field, outcomes)
+    "f13": ("5", "3", "q", {
+        "x+v": ("F13(8)", "F13(7)", "TypeError") + _REJECTED,
+        "v+x": ("F13(8)", "F13(7)", "TypeError") + _REJECTED,
+        "x-v": ("F13(2)", "F13(3)", "TypeError") + _REJECTED,
+        "v-x": ("F13(11)", "F13(10)", "TypeError") + _REJECTED,
+        "x*v": ("F13(2)", "F13(10)", "TypeError") + _REJECTED,
+        "v*x": ("F13(2)", "F13(10)", "TypeError") + _REJECTED,
+        "x/v": ("F13(6)", "F13(9)", "TypeError") + _REJECTED,
+        "v/x": ("F13(11)", "F13(3)", "TypeError") + _REJECTED,
+        "x==v": _UNEQUAL + _UNEQUAL,
+        "1==v": ("True", "True", "False") + _UNEQUAL,
+        "v==1": ("True", "True", "False") + _UNEQUAL,
+        "-x": ("F13(8)",),
+        "x**n": ("F13(1)", "F13(5)", "F13(5)", "F13(12)"),
+    }),
+    "q": ("3/2", "-2/3", "f13", {
+        "x+v": ("Q(5/6)", "Q(7/2)", "Q(11/6)") + _REJECTED,
+        "v+x": ("Q(5/6)", "Q(7/2)", "Q(11/6)") + _REJECTED,
+        "x-v": ("Q(13/6)", "Q(-1/2)", "Q(7/6)") + _REJECTED,
+        "v-x": ("Q(-13/6)", "Q(1/2)", "Q(-7/6)") + _REJECTED,
+        "x*v": ("Q(-1)", "Q(3)", "Q(1/2)") + _REJECTED,
+        "v*x": ("Q(-1)", "Q(3)", "Q(1/2)") + _REJECTED,
+        "x/v": ("Q(-9/4)", "Q(3/4)", "Q(9/2)") + _REJECTED,
+        "v/x": ("Q(-4/9)", "Q(4/3)", "Q(2/9)") + _REJECTED,
+        "x==v": _UNEQUAL + _UNEQUAL,
+        "1==v": ("True", "True", "True") + _UNEQUAL,
+        "v==1": ("True", "True", "True") + _UNEQUAL,
+        "-x": ("Q(-3/2)",),
+        "x**n": ("Q(1)", "Q(3/2)", "Q(243/32)", "Q(4/9)"),
+    }),
+    "q[sqrt2]": ("1+1/2s", "2-s", "q", {
+        "x+v": ("Q(sqrt2)(3-1/2s)", "Q(sqrt2)(3+1/2s)", "Q(sqrt2)(4/3+1/2s)") + _REJECTED,
+        "v+x": ("Q(sqrt2)(3-1/2s)", "Q(sqrt2)(3+1/2s)", "Q(sqrt2)(4/3+1/2s)") + _REJECTED,
+        "x-v": ("Q(sqrt2)(-1+3/2s)", "Q(sqrt2)(-1+1/2s)", "Q(sqrt2)(2/3+1/2s)") + _REJECTED,
+        "v-x": ("Q(sqrt2)(1-3/2s)", "Q(sqrt2)(1-1/2s)", "Q(sqrt2)(-2/3-1/2s)") + _REJECTED,
+        "x*v": ("Q(sqrt2)(1)", "Q(sqrt2)(2+1s)", "Q(sqrt2)(1/3+1/6s)") + _REJECTED,
+        "v*x": ("Q(sqrt2)(1)", "Q(sqrt2)(2+1s)", "Q(sqrt2)(1/3+1/6s)") + _REJECTED,
+        "x/v": ("Q(sqrt2)(3/2+1s)", "Q(sqrt2)(1/2+1/4s)", "Q(sqrt2)(3+3/2s)") + _REJECTED,
+        "v/x": ("Q(sqrt2)(6-4s)", "Q(sqrt2)(4-2s)", "Q(sqrt2)(2/3-1/3s)") + _REJECTED,
+        "x==v": _UNEQUAL + _UNEQUAL,
+        "1==v": ("True", "True", "True") + _UNEQUAL,
+        "v==1": ("True", "True", "True") + _UNEQUAL,
+        "-x": ("Q(sqrt2)(-1-1/2s)",),
+        "x**n": ("Q(sqrt2)(1)", "Q(sqrt2)(1+1/2s)", "Q(sqrt2)(29/4+41/8s)",
+                 "Q(sqrt2)(6-4s)"),
+    }),
+}
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("token", list(PINNED_SCALARS))
+def test_operator_outcomes_are_pinned(token):
+    x_text, y_text, other, pinned = PINNED_SCALARS[token]
+    field, other = parse_field(token), parse_field(other)
+    x, one = field.parse(x_text), field.one
+    operands = (field.parse(y_text), 2, Fraction(1, 3), True, 0.5, other.element(2))
+    ones = (field.element(1), 1, Fraction(1), True, 1.0, other.one)
+    outcomes = {name: tuple(_outcome(fn, x, v) for v in operands)
+                for name, fn in SCALAR_OPS.items()}
+    outcomes["1==v"] = tuple(_outcome(operator.eq, one, v) for v in ones)
+    outcomes["v==1"] = tuple(_outcome(operator.eq, v, one) for v in ones)
+    outcomes["-x"] = (_outcome(operator.neg, x),)
+    outcomes["x**n"] = tuple(_outcome(operator.pow, x, n) for n in (0, 1, 5, -2))
+    assert outcomes == pinned
+
+
+@pytest.mark.parametrize("field, names", [
+    (PrimeField(13), ("F13", "PrimeField(13)", "f13")),
+    (RationalField(), ("Q", "RationalField()", "q")),
+    (QuadraticField(2), ("Q(sqrt2)", "QuadraticField(2)", "q[sqrt2]")),
+], ids=["f13", "q", "q[sqrt2]"])
+def test_field_names_are_pinned(field, names):
+    assert (str(field), repr(field), field.grammar_token()) == names

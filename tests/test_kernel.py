@@ -387,3 +387,30 @@ def test_classify_builds_no_coord_views(field, monkeypatch):
     monkeypatch.setattr(AlgebraElement, "coords", property(counted))
     assert [classify(x) for x in elements] == want
     assert built == []
+
+
+@pytest.mark.parametrize("kind", ["matrix", "octonion"])
+def test_power_multiplies_only_real_factors(kind, monkeypatch):
+    # x**n costs bitlen(n) - 1 squarings and popcount(n) - 1 further
+    # products: no product with the identity, and x**0 none at all
+    field = PrimeField(13)
+    alg = OctAlgebra(field, -1, 2, 3)
+    x = alg.element(range(1, 9))
+    if kind == "matrix":
+        x = left_rep(x)
+    cls = type(x)
+    product = cls._product
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(cls, "_product", counted)
+    for n in (0, 1, 2, 5, 64):
+        calls.clear()
+        want = x._one() if n == 0 else x
+        for _ in range(n - 1):
+            want = product(want, x)
+        assert x ** n == want
+        assert len(calls) == max(n.bit_length() - 1, 0) + max(bin(n).count("1") - 1, 0)

@@ -13,7 +13,6 @@ from kpotent import (
     RationalField,
     SUPPORTED_ROTOR_KS,
     classify,
-    demoivre_power_check,
     left_rep,
     right_rep,
     rotor_generate,
@@ -21,7 +20,7 @@ from kpotent import (
 )
 from kpotent.algebra import AlgebraElement
 
-from helpers import naive_potency
+from helpers import demoivre_power_check, naive_potency
 
 HALF = Fraction(1, 2)
 
