@@ -1,9 +1,10 @@
 """The identity report: which classically quoted representation laws hold
 in which parameter regimes.
 
-The report is deterministic and versioned; each finding is decided from
-exhaustive basis pairs and from a fixed random sample, and both routes must
-agree.  The same report backs the ``kpotent paper-report`` subcommand.
+The report is deterministic and versioned; each finding is decided on
+every tuple of basis elements (the test suite proves the verdicts of the
+laws that are not block forms for every parameter).  The same report backs
+the ``kpotent paper-report`` subcommand.
 """
 
 from kpotent import discrepancy_report

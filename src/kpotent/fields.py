@@ -75,7 +75,7 @@ class ParseError(ValueError):
 
 
 MAX_PRIME = 1 << 64          # residues must fit a 64-bit word
-MAX_QUAD_D = 10 ** 12        # keeps the squarefree scan cheap
+MAX_QUAD_D = 10 ** 12        # the supported range of d in Q(sqrt d)
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _RAT_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
@@ -111,6 +111,21 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _is_squarefree(d: int) -> bool:
+    """Whether no square q^2 > 1 divides d > 0, in O(cbrt d) divisions:
+    once every q with q^3 <= (what is left of d) is divided out, what is
+    left has at most two prime factors, so it is squarefree unless it is
+    the square of a prime."""
+    q = 2
+    while q * q * q <= d:
+        if d % q == 0:
+            d //= q
+            if d % q == 0:
+                return False
+        q += 1
+    return d == 1 or isqrt(d) ** 2 != d
 
 
 def _quadratic_character(x: int, p: int) -> int:
@@ -183,7 +198,9 @@ def _operator(combine):
 
 
 class FieldElement:
-    """A scalar of one particular field, in canonical form."""
+    """A scalar of one particular field, in canonical form.  It equals, and
+    hashes like, the int or Fraction of its value; an F_p element also
+    equals every integer congruent to it, which no hash can honour."""
 
     __slots__ = ("field", "raw")
 
@@ -242,7 +259,9 @@ class FieldElement:
         return raw if raw is NotImplemented else self.raw == raw
 
     def __hash__(self):
-        return hash((self.field, self.raw))
+        # the value == compares: the residue, the Fraction, or r if s = 0
+        raw = self.raw
+        return hash(raw[0] if type(raw) is tuple and not raw[1] else raw)
 
     def __str__(self):
         return self.field._format(self.raw)
@@ -565,11 +584,8 @@ class QuadraticField(Field):
             raise ValueError(f"need a squarefree d > 1, got {d}")
         if d > MAX_QUAD_D:
             raise ValueError(f"d={d} is beyond the supported range")
-        i = 2
-        while i * i <= d:
-            if d % (i * i) == 0:
-                raise ValueError(f"{d} is not squarefree")
-            i += 1
+        if not _is_squarefree(d):
+            raise ValueError(f"{d} is not squarefree")
         self.d = d
         self._init_field(f"q[sqrt{d}]", f"Q(sqrt{d})", f"QuadraticField({d})")
 

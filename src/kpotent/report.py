@@ -3,14 +3,18 @@ representation maps actually hold, regime by regime.
 
 One routine decides every law and block-form finding.  A suite names one
 or more identifiers and one check that gives a verdict for each of them on
-a case; the cases are every tuple of basis elements, then a fixed seeded
-random sample of tuples (``evidence`` selects either route or both).  A
-suite decides its identifiers together, and each identifier's first
-counterexample, if any, is its finding's detail.  A law is a suite of one
-identifier; the four octonion block forms are one suite, decided by one
-``block_check`` per element.  The regime algebras are built once per
-report.  The report is fully deterministic.  Disagreement with a quoted
-identity is recorded as data (the whole point of the report), never raised.
+a case, a tuple of basis elements; it decides its identifiers together,
+and each identifier's first counterexample, if any, is its finding's
+detail.  A law is a suite of one identifier; the four octonion block forms
+are one suite, decided by one ``block_check`` per element.  The regime
+algebras are built once per report.  The report has no inputs and is
+fully deterministic.  Disagreement with a quoted identity is recorded as
+data (the whole point of the report), never raised.
+
+Basis tuples decide every verdict: a law linear in each argument holds iff
+it holds on them, and the tests prove the quadratic square, sandwich and
+inverse laws for every regime from their polarized discrepancy polynomials
+(``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
 from itertools import product
 
 from .algebra import OctAlgebra, QuatAlgebra, cd_double_mul
@@ -26,9 +29,6 @@ from .fields import parse_field
 from .represent import block_check, left_rep, right_rep
 
 REPORT_VERSION = "1"
-
-_RANDOM_PAIRS = 12
-_BASE_SEED = 0x5EED
 
 _QUAT_REGIMES = (
     ("f5", ("-1", "-1")),
@@ -69,39 +69,25 @@ def _algebras(kind):
         yield label, algebra_cls(field, *(field.parse(t) for t in params))
 
 
-def _cases(algebra, arity: int, evidence: str, seed: int):
+def _cases(algebra, arity: int):
     """The tuples of `arity` elements a law is checked on: every tuple of
-    basis elements, then a fixed seeded sample of random tuples."""
-    if evidence in ("basis", "both"):
-        yield from product(algebra.basis(), repeat=arity)
-    if evidence in ("random", "both"):
-        rng = random.Random(seed)
-        for _ in range(_RANDOM_PAIRS):
-            yield tuple(algebra.random_element(rng) for _ in range(arity))
+    basis elements."""
+    return product(algebra.basis(), repeat=arity)
 
 
 def _counterexample(case) -> str:
     return "counterexample " + " ".join(f"{name}={v}" for name, v in zip("xy", case))
 
 
-def _seed_stable(ident: str, regime: str) -> int:
-    # builtin hash() is salted per process; derive a stable seed from bytes
-    data = f"{ident}|{regime}".encode()
-    h = 0
-    for byte in data:
-        h = (h * 131 + byte) & 0xFFFFFFFF
-    return h ^ _BASE_SEED
-
-
-def _suite_findings(suite, algebras, evidence: str):
+def _suite_findings(suite, algebras):
     """Decide a suite in every regime of its kind: one `verdicts(*case)`
     per case gives a verdict per identifier, each identifier keeps its
     first failing case as the counterexample, and the walk stops once
     every identifier has failed."""
-    kind, arity, seed_name, idents, verdicts = suite
+    kind, arity, idents, verdicts = suite
     for regime, alg in algebras[kind]:
         failed = {}
-        for case in _cases(alg, arity, evidence, _seed_stable(seed_name, regime)):
+        for case in _cases(alg, arity):
             for ident, ok in zip(idents, verdicts(*case)):
                 if not ok and ident not in failed:
                     failed[ident] = _counterexample(case)
@@ -113,8 +99,8 @@ def _suite_findings(suite, algebras, evidence: str):
 
 
 def _law_suite(kind: str, arity: int, ident: str, check):
-    """A suite of one identifier, seeded by that identifier."""
-    return kind, arity, ident, (ident,), lambda *case: (check(*case),)
+    """A suite of one identifier."""
+    return kind, arity, (ident,), lambda *case: (check(*case),)
 
 
 def _on_both_maps(law):
@@ -152,7 +138,7 @@ _SUITES = (
     _law_suite("oct", 1, "oct-square-law",
                _on_both_maps(lambda rep, x: rep(x * x) == rep(x) ** 2)),
     (
-        "oct", 1, "oct-block-forms",
+        "oct", 1,
         (
             "oct-left-block-form-classical",
             "oct-right-block-form-classical",
@@ -196,20 +182,16 @@ def _erratum_findings(algebras):
     )
 
 
-def discrepancy_report(evidence: str = "both") -> dict:
-    """Run every recorded-finding suite; returns a JSON-ready dict.
+def discrepancy_report() -> dict:
+    """Run every recorded-finding suite on the basis tuples; returns a
+    JSON-ready dict, the report-v1 contract.
 
-    evidence selects the cases a finding is decided on: "basis" (every
-    tuple of basis elements), "random" (a fixed seeded sample) or "both"
-    (the basis tuples, then the sample).  Verdicts must not depend on the
-    route; ``tests/test_report.py::test_basis_and_random_evidence_agree``
-    checks that.
+    ``tests/test_report.py::test_basis_and_random_evidence_agree`` replays
+    seeded random tuples after the basis tuples and checks that they
+    change no byte.
     """
-    if evidence not in ("basis", "random", "both"):
-        raise ValueError(f"unknown evidence route {evidence!r}")
     algebras = {kind: list(_algebras(kind)) for kind in _KINDS}
-    findings = [f for suite in _SUITES
-                for f in _suite_findings(suite, algebras, evidence)]
+    findings = [f for suite in _SUITES for f in _suite_findings(suite, algebras)]
     findings += _erratum_findings(algebras)
     return {
         "version": REPORT_VERSION,

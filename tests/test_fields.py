@@ -18,9 +18,9 @@ from kpotent import (
     RationalField,
     parse_field,
 )
-from kpotent.fields import _quadratic_character
+from kpotent.fields import _is_squarefree, _quadratic_character
 
-from helpers import ALL_FIELD_TOKENS, field_by_token, least_roots
+from helpers import ALL_FIELD_TOKENS, field_by_token, least_roots, trial_squarefree
 
 
 @pytest.fixture(params=ALL_FIELD_TOKENS)
@@ -53,6 +53,30 @@ def test_bad_primes_rejected(p, message):
 def test_bad_quadratic_d_rejected(d):
     with pytest.raises(ValueError):
         QuadraticField(d)
+
+
+def squarefree_inputs(n_random):
+    """d from 2 to 20000, n_random seeded d < 10^12, the square of a prime
+    near 10^6 and the product of two."""
+    rng = random.Random(n_random)
+    return (list(range(2, 20001)) + [rng.randrange(2, 10**12) for _ in range(n_random)]
+            + [999983**2, 999979 * 999983])
+
+
+def test_squarefree_matches_trial_division():
+    for d in squarefree_inputs(8):
+        assert _is_squarefree(d) == trial_squarefree(d), d
+    with pytest.raises(ValueError, match="999966000289 is not squarefree"):
+        QuadraticField(999983**2)
+    assert QuadraticField(999979 * 999983).d == 999962000357
+    assert parse_field("q[sqrt999999999989]").d == 999999999989
+
+
+def test_squarefree_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for d in squarefree_inputs(300):
+        expected = all(e == 1 for e in sympy.factorint(d).values())
+        assert _is_squarefree(d) == expected, d
 
 
 def test_field_equality_and_hash():
@@ -383,6 +407,25 @@ def test_element_repr_and_hash(f5):
     assert hash(x) == hash(f5.element(-2))
     assert x == 3 and x != 4
     assert isinstance(x, FieldElement)
+
+
+@pytest.mark.parametrize("token", ["f13", "q", "q[sqrt2]"])
+def test_equal_numbers_hash_alike(token):
+    field = parse_field(token)
+    ints = [0, 1, 5, 12] if token == "f13" else [0, 1, 5, -3, 12]
+    keys = ints + [Fraction(1, 2), Fraction(-7, 3), Fraction(5)]
+    values = [field.element(k) for k in ints]
+    if token != "f13":
+        values += [field.element(Fraction(1, 2)), field.element(Fraction(-7, 3))]
+    if token == "q[sqrt2]":
+        values += [field.element((1, 1)), field.element((Fraction(1, 2), 3))]
+    for x in values:
+        for key in keys:
+            equal = x == key
+            assert (key in {x}) is equal and (x in {key}) is equal, (x, key)
+            assert ({key: "v"}.get(x) == "v") is equal, (x, key)
+            assert ({x: "v"}.get(key) == "v") is equal, (x, key)
+    assert 5 in {field.element(5)} and field.one in {1}
 
 
 # -- powers ----------------------------------------------------------------

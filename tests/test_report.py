@@ -1,11 +1,32 @@
 import hashlib
 import json
+import re
+import time
 from pathlib import Path
 
 import pytest
 
-from kpotent import REPORT_VERSION, discrepancy_report
+from kpotent import (
+    OctAlgebra,
+    PrimeField,
+    QuadraticField,
+    QuatAlgebra,
+    RationalField,
+    REPORT_VERSION,
+    SquareMatrix,
+    discrepancy_report,
+    parse_field,
+)
 from kpotent.report import render_csv, render_json, render_text
+
+from helpers import (
+    SymbolicAlgebra,
+    evaluate_poly,
+    replay_random_tail,
+    report_law_discrepancies,
+    transcribed_left_rep,
+    transcribed_right_rep,
+)
 
 FROZEN = Path(__file__).resolve().parent.parent / "perfbench" / "report_v1.json"
 
@@ -28,19 +49,22 @@ def test_report_stable_across_runs(report):
 
 
 def test_basis_and_random_evidence_agree(report):
-    basis = discrepancy_report("basis")
-    rand = discrepancy_report("random")
+    # the seeded random tuples the report once checked after its basis
+    # tuples, replayed: alone they give the former random route's bytes
+    # (pinned by their SHA-256) and the same verdicts, and after the basis
+    # tuples they change no byte of report v1
     key = lambda rep: [(f["id"], f["regime"], f["verdict"]) for f in rep["findings"]]
-    assert key(basis) == key(rand) == [
-        (f["id"], f["regime"], f["verdict"]) for f in report["findings"]
-    ]
-    # each route's counterexamples and details are pinned too: the basis
-    # route finds the same first counterexamples as "both", and the random
-    # route's bytes are pinned by their SHA-256
-    assert (render_json(basis) + "\n").encode() == FROZEN.read_bytes()
+    with pytest.MonkeyPatch.context() as mp:
+        replay_random_tail(mp, basis=False)
+        rand = discrepancy_report()
+    with pytest.MonkeyPatch.context() as mp:
+        replay_random_tail(mp)
+        both = discrepancy_report()
+    assert key(rand) == key(report)
     assert hashlib.sha256((render_json(rand) + "\n").encode()).hexdigest() == (
         "12e95e781848132ceaea8b3b224e8b2ad5566d1b9f296cd6bf62ac1edb74ce31"
     )
+    assert (render_json(both) + "\n").encode() == FROZEN.read_bytes()
 
 
 def test_left_map_multiplicative_everywhere(report):
@@ -120,6 +144,76 @@ def test_json_matches_frozen_report_v1(report):
     assert (render_json(report) + "\n").encode() == FROZEN.read_bytes()
 
 
-def test_bad_evidence_route_rejected():
-    with pytest.raises(ValueError):
-        discrepancy_report("guess")
+# -- the verdicts proved for every parameter ----------------------------------
+
+LAWS = (
+    "quat-left-map-multiplicative",
+    "quat-right-map-direct-order",
+    "quat-right-map-reversed-order",
+    "quat-conjugate-transpose-law",
+    "quat-inverse-law",
+    "oct-conjugate-transpose-law",
+    "oct-square-law",
+    "oct-sandwich-law",
+)
+
+
+@pytest.fixture(scope="module")
+def discrepancies():
+    return report_law_discrepancies()
+
+
+def test_oracle_covers_eight_laws_in_under_a_second(discrepancies):
+    assert sorted(discrepancies) == sorted(LAWS)
+    start = time.perf_counter()
+    report_law_discrepancies()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_report_v1_verdicts_are_the_polynomials_at_each_regime(discrepancies):
+    frozen = json.loads(FROZEN.read_text())
+    checked = 0
+    for finding in frozen["findings"]:
+        if finding["id"] not in LAWS:
+            continue
+        params, token = re.fullmatch(r"[HO]\((.*)\)/(.*)", finding["regime"]).groups()
+        field = parse_field(token)
+        values = [field.parse(t) for t in params.split(",")]
+        holds = all(evaluate_poly(poly, values).is_zero
+                    for poly in discrepancies[finding["id"]])
+        assert finding["verdict"] == ("holds" if holds else "fails"), finding
+        checked += 1
+    assert checked == 53
+
+
+def test_five_laws_hold_for_every_parameter(discrepancies):
+    # no discrepancy at all: these hold in every characteristic but 2
+    for ident in ("quat-left-map-multiplicative", "quat-right-map-reversed-order",
+                  "quat-inverse-law", "oct-square-law", "oct-sandwich-law"):
+        assert discrepancies[ident] == [], ident
+    # the direct order fails by 2 times a monomial, which never vanishes
+    direct = discrepancies["quat-right-map-direct-order"]
+    assert direct and all(len(poly) == 1 and abs(next(iter(poly.values()))) == 2
+                          for poly in direct)
+
+
+@pytest.mark.parametrize("field,params", [
+    (PrimeField(13), (2, 5, 7)),
+    (PrimeField(1048573), (2, -3, 11)),
+    (RationalField(), (3, -5, 7)),
+    (QuadraticField(2), ((1, 1), -3, (0, 2))),
+])
+def test_symbolic_table_matches_transcribed_maps(field, params):
+    # the oracle reads _doubling's table, as src does: its maps of the
+    # basis elements at numeric parameters must be the hand-written ones
+    values = [field.element(v) for v in params]
+    for alg in (QuatAlgebra(field, *values[:2]), OctAlgebra(field, *values)):
+        sym = SymbolicAlgebra(alg.dim)
+        for i in range(alg.dim):
+            x = alg.basis_element(i)
+            for symbolic, transcribed in ((sym.left, transcribed_left_rep),
+                                          (sym.right, transcribed_right_rep)):
+                entries = symbolic(sym.basis(i))
+                rows = [[evaluate_poly(entries.get((r, c), {}), alg.params)
+                         for c in range(alg.dim)] for r in range(alg.dim)]
+                assert SquareMatrix(field, rows) == transcribed(x), (alg, i)
